@@ -36,7 +36,9 @@ def _first_decode(key, store, y) -> "tuple[np.ndarray, object]":
     return decoder.decode(y, workloads.K), decoder
 
 
-def one_iteration(seed: int, iteration: int, rundir: Path, hashes: tracing.HashCounter, tracer: "tracing.Tracer | None") -> dict:
+def one_iteration(
+    seed: int, iteration: int, rundir: Path, hashes: tracing.HashCounter, compiles: tracing.CompileCounter, tracer: "tracing.Tracer | None"
+) -> dict:
     """Time the four steps on a fresh key; every step starts with this run's writes on disk."""
     from repro.designs import DesignStore, LocalDirRemote
 
@@ -44,7 +46,7 @@ def one_iteration(seed: int, iteration: int, rundir: Path, hashes: tracing.HashC
     y = workloads.lifecycle_y(seed, iteration)
     base = rundir / f"lifecycle-{iteration}"
     l2_root, l3_root, fleet_root = base / "l2", base / "l3", base / "fleet"
-    hashed_before = hashes.bytes
+    hashed_before, compiles_before = hashes.bytes, compiles.compiles
     times = {}
     supports = {}
 
@@ -76,7 +78,9 @@ def one_iteration(seed: int, iteration: int, rundir: Path, hashes: tracing.HashC
         entries = cold_store.ls()
         fleet_stats = fleet_store.stats
         exact = {
-            "compiles": cold_store.stats.publishes,
+            # One compile (the cold step) unless an attach or pull fell back to compiling.
+            "compiles": compiles.compiles - compiles_before if compiles.available else None,
+            "store_publishes": sum(s.stats.publishes for s in (cold_store, warm_store, fleet_store)),
             "artifact_bytes": cold.compiled.nbytes,
             "block_bytes": cold.compiled.block_bytes,
             "entry_bytes": sum(e.nbytes for e in entries),
@@ -109,10 +113,11 @@ class Lifecycle:
         started = now()
         while True:
             start = now()
-            hashes = tracing.HashCounter()
+            hashes, compiles = tracing.HashCounter(), tracing.CompileCounter()
             with tracing.Patches() as patches:
                 hashes.install(patches)
-                self.iterations.append(one_iteration(self.seed, len(self.iterations), self.rundir, hashes, self.tracer))
+                compiles.install(patches)
+                self.iterations.append(one_iteration(self.seed, len(self.iterations), self.rundir, hashes, compiles, self.tracer))
             if now() - started + (now() - start) > budget_s:
                 break
 

@@ -24,15 +24,10 @@ import numpy as np
 import loadgen
 import workloads
 
-#: The serve knobs under test, passed explicitly: the ``ServeConfig`` defaults
-#: except the coalescing window (README.md says why 32 ms).
-SERVE_FLAGS = {
-    "batch_window_ms": 32.0,
-    "max_batch": 64,
-    "max_queue": 1024,
-    "timeout_ms": 10_000.0,
-    "max_designs": 8,
-}
+#: The one serve knob that differs from the shipped ``ServeConfig``: the
+#: coalescing window (README.md says why 32 ms).  Every other knob is the
+#: program's default.
+BATCH_WINDOW_MS = 32.0
 
 LAUNCHES = 3  #: server launches per run; ``setup_s`` is their median
 WARMUP_S = 2.0  #: untimed traffic near the knee before the first timed slice
@@ -41,7 +36,7 @@ WARMUP_S = 2.0  #: untimed traffic near the knee before the first timed slice
 def serve_config() -> dict:
     from repro.serve import ServeConfig
 
-    return dataclasses.asdict(ServeConfig(**SERVE_FLAGS))
+    return dataclasses.asdict(ServeConfig(batch_window_ms=BATCH_WINDOW_MS))
 
 
 def build_store(root: Path, workload: workloads.Workload, seed: int) -> "tuple[dict, dict]":
@@ -54,23 +49,29 @@ def build_store(root: Path, workload: workloads.Workload, seed: int) -> "tuple[d
         artifact = compile_from_key(workloads.design_key(m, seed))
         store.publish(artifact)
         compiled[m] = artifact
-    stats = store.stats
     exact = {
-        "serve.compiles": len(compiled),
-        "serve.store_publishes": stats.publishes,
-        "serve.entry_bytes": stats.nbytes,
+        "serve.entry_bytes": store.stats.nbytes,
         "serve.block_bytes": sum(c.block_bytes for c in compiled.values()),
     }
     return compiled, exact
+
+
+def store_counts(root: Path) -> dict:
+    """Publishes and misses on the serve store over every process that used it.
+
+    The benchmark publishes each key once; a server that missed L2 and
+    compiled shows as a miss and an extra publish.
+    """
+    from repro.designs import DesignStore
+
+    counts = DesignStore(root).persistent_stats()
+    return {"serve.store_publishes": counts["publishes"], "serve.store_misses": counts["misses"]}
 
 
 class ServerProcess:
     """``pooled-repro serve --store`` in a subprocess pinned to one core."""
 
     def __init__(self, store_root: Path, env: dict, core: "int | None", log_path: Path):
-        flags = []
-        for name, value in SERVE_FLAGS.items():
-            flags += [f"--{name.replace('_', '-')}", str(value)]
         pin = f"os.sched_setaffinity(0, {{{core}}}); " if core is not None else ""
         launcher = (
             f"import os, runpy, sys; {pin}"
@@ -78,7 +79,7 @@ class ServerProcess:
         )
         self.log = open(log_path, "ab")
         self.proc = subprocess.Popen(
-            [sys.executable, "-c", launcher, "serve", "--store", str(store_root), "--port", "0", *flags],
+            [sys.executable, "-c", launcher, "serve", "--store", str(store_root), "--port", "0", "--batch-window-ms", str(BATCH_WINDOW_MS)],
             stdout=subprocess.PIPE,
             stderr=self.log,
             env=env,
@@ -122,10 +123,18 @@ class InProcessServer:
         self.thread.start()
 
         async def start():
-            self.server = DecodeServer(decoders, ServeConfig(**SERVE_FLAGS), store=DesignStore(store_root))
+            self.server = DecodeServer(decoders, ServeConfig(batch_window_ms=BATCH_WINDOW_MS), store=DesignStore(store_root))
             return await self.server.start_tcp("127.0.0.1", 0)
 
         self.host, self.port = asyncio.run_coroutine_threadsafe(start(), self.loop).result(120)
+
+    def call(self, fn):
+        """``fn()`` run on the server's event loop, where its state changes."""
+
+        async def run():
+            return fn()
+
+        return asyncio.run_coroutine_threadsafe(run(), self.loop).result(120)
 
     def stop(self) -> None:
         asyncio.run_coroutine_threadsafe(self.server.drain(), self.loop).result(120)
@@ -204,7 +213,7 @@ class ServeSession:
     """
 
     def __init__(self, workload, seed: int, rundir: Path, env: dict, core: "int | None"):
-        store_root = rundir / "serve-l2"
+        self.store_root = store_root = rundir / "serve-l2"
         compiled, self.exact = build_store(store_root, workload, seed)
         inputs = workloads.serve_inputs(workload, seed, compiled)
         workloads.attach_expected(inputs, compiled)
@@ -253,17 +262,8 @@ class ServeSession:
                 break
 
     def pooled(self, kind: str) -> loadgen.Probe:
-        """The run's slices of ``kind`` as one sample, less the slice with the highest median.
-
-        A neighbour's burst on a shared machine can slow the server for a
-        second or more; dropping the slowest of the rounds keeps one
-        disturbed round from setting the tail, while a slowdown of the
-        program itself shows in every round.
-        """
-        slices = [p for k, p in self.probes if k == kind]
-        if len(slices) > 2:
-            slices.remove(max(slices, key=lambda p: p.summary["p50_ms"]))
-        return loadgen.pool(slices)
+        """Every slice of ``kind`` in the run as one sample, so a stall in any round reaches the tail."""
+        return loadgen.pool([p for k, p in self.probes if k == kind])
 
     def _stop_server(self) -> None:
         if self.conns is not None:
@@ -274,7 +274,9 @@ class ServeSession:
             self.server = None
 
     def close(self) -> None:
+        """Stop the server; the store's counters then include everything it did."""
         self._stop_server()
+        self.exact.update(store_counts(self.store_root))
 
 
 def run_traced(workload, seed, budget, rundir: Path, tracer_factory) -> dict:
@@ -283,7 +285,8 @@ def run_traced(workload, seed, budget, rundir: Path, tracer_factory) -> dict:
 
     import tracing
 
-    compiled, exact = build_store(rundir / "serve-l2", workload, seed)
+    store_root = rundir / "serve-l2"
+    compiled, exact = build_store(store_root, workload, seed)
     inputs = workloads.serve_inputs(workload, seed, compiled)
     workloads.attach_expected(inputs, compiled)
     del compiled
@@ -295,7 +298,7 @@ def run_traced(workload, seed, budget, rundir: Path, tracer_factory) -> dict:
             decoders = {name: make_decoder(name) for name in available_decoders()}
         else:
             decoders = {name: tracing.TracedDecoder(make_decoder(name), name, tracer) for name in available_decoders()}
-        server = InProcessServer(decoders, rundir / "serve-l2")
+        server = InProcessServer(decoders, store_root)
         try:
             conns = loadgen.Connections(server.host, server.port)
             out["probes"].append(("warm", traffic.warm(conns)))
@@ -303,14 +306,22 @@ def run_traced(workload, seed, budget, rundir: Path, tracer_factory) -> dict:
             if tracer is not None:
                 tracer.spans.clear()
             stats, pool = server.server.coalescer.stats, server.server.pool
-            before = (stats.batches, stats.requests, stats.overloaded, pool.hits, pool.misses, pool.evictions)
+
+            def snapshot():
+                return (stats.batches, stats.requests, stats.overloaded, pool.hits, pool.misses, pool.evictions)
+
+            def start_window():
+                # The high-water marks restart with the window, so they
+                # describe its rate and not the warm-up's.
+                stats.peak_admitted = stats.admitted
+                stats.max_batch_seen = 0
+                return snapshot()
+
+            before = server.call(start_window)
             probe = traffic.probe(conns, rate, duration, tag=tag)
             conns.close()
-            batches, requests, overloaded, hits, misses, evictions = (
-                now - then for now, then in zip((stats.batches, stats.requests, stats.overloaded, pool.hits, pool.misses, pool.evictions), before)
-            )
-            # Counts cover the measured window only; the two high-water
-            # marks also saw the warm-up, which ran at the mid rate.
+            batches, requests, overloaded, hits, misses, evictions = (now - then for now, then in zip(server.call(snapshot), before))
+            # Everything below covers the measured window only.
             counters = {
                 "batches": batches,
                 "mean_batch": requests / batches if batches else 0.0,
@@ -340,6 +351,7 @@ def run_traced(workload, seed, budget, rundir: Path, tracer_factory) -> dict:
         "traced_low": window_result(traced_low),
         "traced_mid": window_result(traced_mid),
     }
+    exact.update(store_counts(store_root))
     out["counters_low"] = counters_low
     out["counters_mid"] = counters_mid
     out["tracer_low"] = tracer_low

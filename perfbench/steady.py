@@ -3,15 +3,15 @@
 
 Usage, from the root of a checkout::
 
-    python3 perfbench/steady.py --workload serve-hot --runs 10 [--first-seed 1] [--seconds 36]
+    python3 perfbench/steady.py --workload serve-hot --runs 10 [--first-seed 1]
 
-Runs ``perfbench/run.py`` once per seed, one run at a time, and prints for
+Runs ``perfbench/run.py`` once per seed, one run at a time and each for
+``run_seconds`` from ``BENCHMARK.json``, and prints for
 every end-to-end metric its median, first and third quartile (as
 ``statistics.quantiles(values, n=4)`` gives them) and the spread — the
 distance between the quartiles as a share of the median — against the
 bound ``BENCHMARK.json`` fixes for it.  A spread at or above a third of its
 bound is flagged; ``setup_s`` is reported but its spread is not judged.
-With ``--json PATH`` the per-run values and the summary are also written.
 """
 
 from __future__ import annotations
@@ -54,11 +54,9 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", required=True)
     parser.add_argument("--runs", type=int, default=10)
     parser.add_argument("--first-seed", type=int, default=1)
-    parser.add_argument("--seconds", type=int, default=None, help="default: run_seconds from BENCHMARK.json")
-    parser.add_argument("--json", type=str, default=None)
     args = parser.parse_args(argv)
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    seconds = args.seconds if args.seconds is not None else spec["run_seconds"]
+    seconds = spec["run_seconds"]
     bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
 
     results = []
@@ -69,7 +67,6 @@ def main(argv=None) -> int:
         print(f"seed {seed}: {status}, failed {result['failed']}/{result['attempted']}", flush=True)
 
     ok = all(r["correct"] and r["exit"] == 0 for r in results)
-    summary = {}
     print(f"\n{args.workload}: {len(results)} runs of {seconds}s")
     print(f"{'metric':22s} {'median':>12s} {'q1':>12s} {'q3':>12s} {'spread':>8s} {'bound':>6s}")
     for name, bound in bounds.items():
@@ -84,9 +81,6 @@ def main(argv=None) -> int:
         if judged and rel >= bound:
             ok = False
         print(f"{name:22s} {med:12.4f} {q1:12.4f} {q3:12.4f} {rel:8.3f} {bound:6.2f}{flag}")
-        summary[name] = {"median": med, "q1": q1, "q3": q3, "spread": rel, "bound": bound, "values": values}
-    if args.json:
-        Path(args.json).write_text(json.dumps({"workload": args.workload, "seconds": seconds, "summary": summary}, indent=1))
     return 0 if ok else 1
 
 

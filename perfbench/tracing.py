@@ -180,6 +180,33 @@ class HashCounter:
         self.available = all(hooked)
 
 
+class CompileCounter:
+    """Counts design compilations, by wrapping ``compile_from_key``.
+
+    Only a call with neither cache nor store compiles; the store and cache
+    paths call it that way on a miss, so an attach that fell back to a
+    compile is counted too.
+    """
+
+    def __init__(self) -> None:
+        self.compiles = 0
+        self.available = True
+
+    def install(self, patches: Patches) -> None:
+        import repro.designs.compiled as compiled_mod
+
+        def make(fn):
+            @functools.wraps(fn)
+            def compile_from_key(key, *, cache=None, store=None):
+                if cache is None and store is None:
+                    self.compiles += 1
+                return fn(key, cache=cache, store=store)
+
+            return compile_from_key
+
+        self.available = patches.patch(compiled_mod, "compile_from_key", make)
+
+
 def install_layer_hooks(tracer: Tracer, patches: Patches) -> None:
     """Wrap the public entry points of every measured layer."""
     import repro.core.design as design_mod
