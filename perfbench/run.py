@@ -63,8 +63,8 @@ def budget_for(seconds: float) -> dict:
     """
     return {
         "low": 0.16 * seconds,
-        "mid": 0.25 * seconds,
-        "ladder": 0.19 * seconds,
+        "mid": 0.29 * seconds,
+        "ladder": 0.15 * seconds,
         "lifecycle": 0.22 * seconds,
         "sweep": 0.18 * seconds,
     }

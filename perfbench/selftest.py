@@ -195,6 +195,27 @@ class Inputs(unittest.TestCase):
         self.assertNotEqual(first[0], other[0])
         self.assertNotEqual(first[1], other[1])
 
+    def test_every_slice_carries_the_exact_mix(self):
+        import workloads
+
+        shares = np.array([p.share for p in workloads.WORKLOADS["serve-mixed"].pairs])
+        for size in (1, 7, 38, 152, 383):
+            counts = np.bincount(workloads.exact_mix(shares, size, np.random.default_rng(size)), minlength=shares.size)
+            self.assertEqual(int(counts.sum()), size)
+            self.assertTrue(np.all(np.abs(counts - shares / shares.sum() * size) < 1.0))
+
+
+class SweepCalibration(unittest.TestCase):
+    def test_machine_drift_cancels_and_program_slowdown_shows(self):
+        import sweep
+
+        sweep_s, calibration_s = [1.0, 0.9, 1.1, 1.05], [0.025, 0.023, 0.027, 0.026]
+        base = sweep.calibrated_rate(sweep_s, calibration_s)
+        slow_machine = sweep.calibrated_rate([1.4 * t for t in sweep_s], [1.4 * c for c in calibration_s])
+        slow_program = sweep.calibrated_rate([1.4 * t for t in sweep_s], calibration_s)
+        self.assertAlmostEqual(slow_machine, base)
+        self.assertAlmostEqual(slow_program, base / 1.4)
+
 
 if __name__ == "__main__":
     unittest.main(verbosity=2)

@@ -68,8 +68,8 @@ WORKLOADS = {
             Pair(2400, "comp", 0.10),
             Pair(600, "amp", 0.05),
         ),
-        low_rps=15.0,
-        mid_rps=25.0,
+        low_rps=20.0,
+        mid_rps=30.0,
         ladder_start_rps=60.0,
     ),
 }
@@ -179,6 +179,19 @@ def attach_expected(inputs: ServeInputs, compiled: "dict[int, object]") -> None:
         inputs.expected[(m, decoder)] = [tuple(int(i) for i in np.flatnonzero(row)) for row in rows]
 
 
+def exact_mix(shares: np.ndarray, size: int, rng: np.random.Generator) -> np.ndarray:
+    """Pair indices in the workload's proportions, exact to one request, in seeded random order.
+
+    Counts are the largest-remainder rounding of ``shares · size``.  The
+    pairs' decode costs differ several-fold, so a mix drawn at random would
+    move a slice's median with the luck of the draw, not the program.
+    """
+    quotas = shares / shares.sum() * size
+    counts = np.floor(quotas).astype(np.int64)
+    counts[np.argsort(counts - quotas, kind="stable")[: size - int(counts.sum())]] += 1
+    return rng.permutation(np.repeat(np.arange(shares.size), counts))
+
+
 def schedule(workload: Workload, seed: int, rate: float, duration_s: float, tag: int) -> "tuple[np.ndarray, list[tuple[int, str]], np.ndarray]":
     """Arrival offsets, the pair of each request, and its signal index."""
     from loadgen import arrival_offsets
@@ -186,7 +199,7 @@ def schedule(workload: Workload, seed: int, rate: float, duration_s: float, tag:
     rng = rng_for(seed, 5, tag)
     offsets = arrival_offsets(rate, duration_s, rng)
     shares = np.array([p.share for p in workload.pairs], dtype=np.float64)
-    which = rng.choice(len(workload.pairs), size=offsets.size, p=shares / shares.sum())
+    which = exact_mix(shares, offsets.size, rng)
     signal = rng.integers(0, SIGNALS_PER_PAIR, size=offsets.size)
     pairs = [(workload.pairs[w].m, workload.pairs[w].decoder) for w in which]
     return offsets, pairs, signal
