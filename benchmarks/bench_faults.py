@@ -158,7 +158,6 @@ class TestBreakerRecovery:
             try:
                 coalescer = Coalescer(
                     DecoderPool(MNDecoder()),
-                    window_s=0.0,
                     max_batch=1,
                     decode_retries=0,
                     breaker_threshold=1,

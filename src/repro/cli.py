@@ -206,17 +206,22 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument(
         "--batch-window-ms",
         type=float,
-        default=None,
-        help=f"coalescing deadline per design key (default 2.0, or ${{{_serve_env('WINDOW_MS')}}})",
+        default=0.0,
+        help="deprecated, no effect: batches dispatch as soon as the decode executor is idle (still accepted; must be non-negative)",
     )
-    ps.add_argument("--max-batch", type=int, default=None, help=f"flush a bucket at this size (default 64, or ${{{_serve_env('MAX_BATCH')}}})")
+    ps.add_argument(
+        "--max-batch",
+        type=int,
+        default=None,
+        help=f"largest batch; a bucket at this size dispatches even while the executor is busy (default 64, or ${{{_serve_env('MAX_BATCH')}}})",
+    )
     ps.add_argument(
         "--max-queue",
         type=int,
         default=None,
         help=f"admission bound on pending requests; beyond it requests get a structured 'overloaded' error (default 1024, or ${{{_serve_env('MAX_QUEUE')}}})",
     )
-    ps.add_argument("--timeout-ms", type=float, default=10_000.0, help="per-request deadline, window wait included")
+    ps.add_argument("--timeout-ms", type=float, default=10_000.0, help="per-request deadline, time queued behind a busy executor included")
     ps.add_argument("--max-designs", type=int, default=8, help="LRU capacity of attached decoders (designs served concurrently)")
     ps.add_argument(
         "--breaker-threshold",
@@ -673,7 +678,7 @@ def _cmd_serve(args) -> int:
         return 2
     try:
         config = ServeConfig(
-            batch_window_ms=float(_serve_knob(args.batch_window_ms, "WINDOW_MS", 2.0, float)),
+            batch_window_ms=args.batch_window_ms,
             max_batch=int(_serve_knob(args.max_batch, "MAX_BATCH", 64, int)),
             max_queue=int(_serve_knob(args.max_queue, "MAX_QUEUE", 1024, int)),
             timeout_ms=args.timeout_ms,

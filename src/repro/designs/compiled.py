@@ -416,7 +416,7 @@ class CompiledDesign:
         quantities are integer-exact, guarded by the exactness budget of
         the *resident block's* dtype (2²³ for float32, 2⁵² for float64)
         with a fallback to the kernel path, so accumulation order cannot
-        matter.
+        matter.  Small batches share GEMM rows (see :func:`_packed_psi`).
         """
         y = np.asarray(y, dtype=np.int64)
         y2 = y[None, :] if y.ndim == 1 else y
@@ -424,10 +424,11 @@ class CompiledDesign:
             raise ValueError(f"y must have shape (m={self.m},) or (B, m={self.m})")
         block = self.incidence_block()
         budget = _EXACT_LIMIT if block is None or block.dtype == np.float64 else _EXACT_LIMIT32
-        if block is None or (self.m and float(np.abs(y2).sum(axis=1, dtype=np.float64).max()) >= budget):
+        bounds = np.abs(y2).sum(axis=1, dtype=np.float64)
+        if block is None or (self.m and float(bounds.max()) >= budget):
             psi = self.design.psi(y2)
         else:
-            psi = (y2.astype(block.dtype) @ block).astype(np.int64)
+            psi = _packed_psi(y2, float(bounds.max()), block, budget)
         return psi if y.ndim == 2 else psi[0]
 
     def query_results(self, sigma: np.ndarray) -> np.ndarray:
@@ -454,6 +455,42 @@ class CompiledDesign:
             m=self.m,
             gamma=self.gamma,
         )
+
+
+def _packed_psi(y: np.ndarray, bound: float, block: np.ndarray, budget: float) -> np.ndarray:
+    """``y @ block`` in int64, with several rows of ``y`` sharing one GEMM row.
+
+    Every ``Ψ`` entry of a row is an integer of magnitude at most
+    ``bound`` (the largest row ``Σ|y|``; the block is 0/1), so ``per``
+    rows fit one product row as signed base-``2^shift`` digits for as
+    long as the packed sums stay inside the exactness ``budget`` — the
+    digits then come back exactly.  At serve sizes (``m·n`` far beyond
+    the LLC) a one-row product is a memory-bound GEMV while two or three
+    rows go through a GEMM costing ~1.5× as much, so packing makes a
+    batch of up to ``per`` rows cost one GEMV: a decode's cost no longer
+    jumps with whether a second request happened to share its batch.
+    """
+    rows = y.shape[0]
+    shift = int(bound).bit_length() + 1  # every |Ψ| < 2**(shift - 1)
+    per = 1
+    while per < rows and max(bound, 1.0) * sum(2.0 ** (shift * r) for r in range(per + 1)) < budget:
+        per += 1
+    if per == 1:
+        return (y.astype(block.dtype) @ block).astype(np.int64)
+    groups = -(-rows // per)
+    packed = np.zeros((groups, y.shape[1]), dtype=np.int64)
+    for r in range(per):
+        part = y[r::per]
+        packed[: len(part)] += part * (1 << (shift * r))
+    acc = (packed.astype(block.dtype) @ block).astype(np.int64)
+    psi = np.empty((rows, block.shape[1]), dtype=np.int64)
+    base, half = 1 << shift, 1 << (shift - 1)
+    for r in range(per):
+        digit = (acc + half) % base - half
+        acc = (acc - digit) >> shift
+        target = psi[r::per]
+        target[...] = digit[: len(target)]
+    return psi
 
 
 def _stream_entries(key: DesignKey) -> np.ndarray:

@@ -9,7 +9,8 @@ dependency-light newline-delimited-JSON protocol (stdin/stdout or TCP):
 * :mod:`repro.serve.protocol` — the wire format: request/response lines,
   the closed structured-error vocabulary, parse-never-crashes validation;
 * :mod:`repro.serve.coalescer` — per-design-key micro-batching
-  (deadline- or size-triggered) onto
+  (work-conserving: dispatched whenever the decode executor is idle, or
+  at ``max_batch``) onto
   :meth:`~repro.designs.protocol.CompiledDecoder.decode_batch`, the
   bounded admission queue, and the per-design decoder LRU over the
   cache/store layers;

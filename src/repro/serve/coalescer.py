@@ -4,16 +4,23 @@ The serving economics of this codebase are batch-shaped — one
 ``(B, m) @ (m, n)`` GEMM amortises far better than ``B`` single-vector
 decodes (the engine and design PRs measured ~5× at ``B = 64``,
 ``n = 10⁴``) — but network clients arrive one signal at a time.  The
-:class:`Coalescer` bridges the two: concurrent requests for the *same
-design key* accumulate in a per-key bucket that flushes onto
-:meth:`~repro.designs.protocol.CompiledDecoder.decode_batch` when either
+:class:`Coalescer` bridges the two with **work-conserving dispatch**:
+concurrent requests for the *same* ``(design key, decoder)`` accumulate
+in a bucket that flushes onto
+:meth:`~repro.designs.protocol.CompiledDecoder.decode_batch`
 
-* the **batch window** elapses (``--batch-window-ms`` — the latency an
-  idle request is willing to spend waiting for company), or
-* the bucket reaches **max batch** (``--max-batch`` — flush immediately,
-  a full GEMM is waiting).
+* **immediately** when no batch is in flight — an idle executor never
+  waits for company, so a lone request pays no coalescing delay;
+* when the **last in-flight batch finishes** — the oldest open bucket
+  goes next, so requests that arrived while the executor was busy leave
+  together as one batch;
+* when the bucket reaches **max batch** (``--max-batch``), whatever the
+  executor is doing.
 
-Row results demultiplex back to each awaiting request's future.  Because
+Batches therefore build up only while the executor is busy, and their
+size follows the offered load with no timer to tune (the adaptive
+batching of Clipper, Crankshaw et al., NSDI 2017).  Row results
+demultiplex back to each awaiting request's future.  Because
 ``decode_batch`` is bit-identical row-wise to ``decode`` (the
 :class:`~repro.designs.protocol.CompiledDecoder` contract), coalescing
 changes *when* work runs, never what any client gets back.
@@ -23,7 +30,9 @@ Robustness is structural, not best-effort:
 * **bounded admission** — at most ``max_queue`` requests may be admitted
   (buffered or decoding) at once; beyond that :meth:`Coalescer.submit`
   raises a structured ``overloaded`` error immediately instead of growing
-  a queue without bound (degrade-and-recover, never crash-on-burst);
+  a queue without bound (degrade-and-recover, never crash-on-burst); a
+  request whose caller gave up (timed out) while it was buffered is
+  dropped at dispatch — it costs no GEMM row and frees its slot;
 * **per-design decoder LRU** — :class:`DecoderPool` holds at most
   ``max_designs`` attached decoders, read-through compiled from the L1/L2
   design cache/store on first request (single-flight per key), evicting
@@ -232,13 +241,12 @@ class _Pending:
 
 
 class Coalescer:
-    """Groups admitted requests per design key into deadline/size batches."""
+    """Groups admitted requests per design key; dispatches whenever the executor idles."""
 
     def __init__(
         self,
         pool: DecoderPool,
         *,
-        window_s: float = 0.002,
         max_batch: int = 64,
         max_queue: int = 1024,
         executor: "Executor | None" = None,
@@ -246,8 +254,6 @@ class Coalescer:
         breaker_threshold: int = 5,
         breaker_cooldown_s: float = 5.0,
     ):
-        if window_s < 0:
-            raise ValueError("window_s must be non-negative")
         if max_batch < 1:
             raise ValueError("max_batch must be positive")
         if max_queue < 1:
@@ -255,7 +261,6 @@ class Coalescer:
         if decode_retries < 0:
             raise ValueError("decode_retries must be non-negative")
         self._pool = pool
-        self.window_s = float(window_s)
         self.max_batch = int(max_batch)
         self.max_queue = int(max_queue)
         self.decode_retries = int(decode_retries)
@@ -264,10 +269,10 @@ class Coalescer:
         self._executor = executor
         # Coalescing unit: one (design key, decoder name) pair — requests
         # for the same design under different decoders never share a GEMM.
+        # Insertion order is age: the first key is the oldest open bucket.
         self._buckets: "dict[tuple[DesignKey, str], list[_Pending]]" = {}
-        self._timers: "dict[tuple[DesignKey, str], asyncio.TimerHandle]" = {}
         self._breakers: "dict[tuple[DesignKey, str], CircuitBreaker]" = {}
-        self._tasks: "set[asyncio.Task]" = set()
+        self._tasks: "set[asyncio.Task]" = set()  # batches in flight
         self._draining = False
         self.stats = CoalescerStats()
 
@@ -309,32 +314,35 @@ class Coalescer:
                 f"design key is failing (circuit breaker {breaker.state}); retry after cooldown",
                 request.request_id,
             )
-        loop = asyncio.get_running_loop()
+        future: "asyncio.Future[np.ndarray]" = asyncio.get_running_loop().create_future()
         self.stats.admitted += 1
         self.stats.peak_admitted = max(self.stats.peak_admitted, self.stats.admitted)
-        future: "asyncio.Future[np.ndarray]" = loop.create_future()
         bucket = self._buckets.setdefault(bucket_key, [])
         bucket.append(_Pending(request, future))
-        if len(bucket) >= self.max_batch:
+        # Work-conserving: an idle executor takes the request now; a busy
+        # one lets the bucket grow until it frees (or the bucket fills).
+        if not self._tasks or len(bucket) >= self.max_batch:
             self._flush(bucket_key)
-        elif len(bucket) == 1:
-            # First request opens the batch window for its bucket; the timer
-            # is cancelled if the size trigger (or a drain) flushes first.
-            self._timers[bucket_key] = loop.call_later(self.window_s, self._flush, bucket_key)
         return future
 
     # -- dispatch ---------------------------------------------------------------
 
     def _flush(self, bucket_key: "tuple[DesignKey, str]") -> None:
-        timer = self._timers.pop(bucket_key, None)
-        if timer is not None:
-            timer.cancel()
-        pending = self._buckets.pop(bucket_key, None)
-        if not pending:
+        pending = self._buckets.pop(bucket_key, [])
+        # Rows whose caller already gave up (timed out) cost no GEMM row.
+        live = [p for p in pending if not p.future.done()]
+        self.stats.admitted -= len(pending) - len(live)
+        if not live:
             return
-        task = asyncio.get_running_loop().create_task(self._run_batch(bucket_key, pending))
+        task = asyncio.get_running_loop().create_task(self._run_batch(bucket_key, live))
         self._tasks.add(task)
-        task.add_done_callback(self._tasks.discard)
+        task.add_done_callback(self._batch_done)
+
+    def _batch_done(self, task: asyncio.Task) -> None:
+        self._tasks.discard(task)
+        # The executor is free: the oldest open bucket goes next.
+        while not self._tasks and self._buckets:
+            self._flush(next(iter(self._buckets)))
 
     async def _run_batch(self, bucket_key: "tuple[DesignKey, str]", pending: "list[_Pending]") -> None:
         """Decode one micro-batch and demultiplex rows to the awaiting futures.

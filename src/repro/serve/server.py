@@ -56,7 +56,6 @@ if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
 __all__ = ["ServeConfig", "DecodeServer", "serve_forever"]
 
 #: Environment defaults for the CLI knobs (README env table).
-SERVE_WINDOW_ENV = "REPRO_SERVE_WINDOW_MS"
 SERVE_MAX_BATCH_ENV = "REPRO_SERVE_MAX_BATCH"
 SERVE_MAX_QUEUE_ENV = "REPRO_SERVE_MAX_QUEUE"
 SERVE_BREAKER_THRESHOLD_ENV = "REPRO_SERVE_BREAKER_THRESHOLD"
@@ -68,9 +67,12 @@ SERVE_DECODER_ENV = "REPRO_SERVE_DECODER"
 class ServeConfig:
     """Tuning knobs of one serve process (see ``docs/serving.md``).
 
-    ``batch_window_ms`` trades tail latency for throughput: each key's
-    first pending request waits at most this long for company before its
-    micro-batch flushes (a full ``max_batch`` flushes immediately).
+    Coalescing is work-conserving: a key's bucket dispatches the moment
+    the decode executor is idle, grows only while it is busy, and flushes
+    at ``max_batch`` regardless — the only batch-size bound.
+    ``batch_window_ms`` is deprecated and has no effect; it is still
+    accepted (and must be non-negative) so existing deployments and
+    command lines keep working.
 
     ``decode_retries`` failed ``decode_batch`` calls per micro-batch are
     retried on a freshly attached decoder before the batch fails;
@@ -83,7 +85,7 @@ class ServeConfig:
     from the environment via the CLI).
     """
 
-    batch_window_ms: float = 2.0
+    batch_window_ms: float = 0.0  #: deprecated, no effect
     max_batch: int = 64
     max_queue: int = 1024
     timeout_ms: float = 10_000.0
@@ -109,10 +111,6 @@ class ServeConfig:
             raise ValueError("breaker_cooldown_ms must be non-negative")
         if not self.default_decoder or not isinstance(self.default_decoder, str):
             raise ValueError("default_decoder must be a non-empty string")
-
-    @property
-    def window_s(self) -> float:
-        return self.batch_window_ms / 1e3
 
     @property
     def timeout_s(self) -> float:
@@ -164,7 +162,6 @@ class DecodeServer:
         )
         self.coalescer = Coalescer(
             self.pool,
-            window_s=self.config.window_s,
             max_batch=self.config.max_batch,
             max_queue=self.config.max_queue,
             executor=self._executor,

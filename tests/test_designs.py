@@ -219,6 +219,62 @@ class TestBlockDtype:
             load_compiled_design(path)
 
 
+class _RowCountingBlock(np.ndarray):
+    """A 0/1 block that records how many rows each product against it has."""
+
+    rows_seen: "list[int]" = []
+
+    def __rmatmul__(self, other):
+        type(self).rows_seen.append(np.shape(other)[0])
+        return np.asarray(other) @ np.asarray(self)
+
+
+class TestPackedPsi:
+    """Several result rows share one GEMM row while the sums stay exact."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("rows", [1, 2, 3, 4, 7])
+    def test_batches_match_design_psi(self, compiled, dtype, rows):
+        fresh = CompiledDesign(compiled.design, key=compiled.key)
+        fresh.adopt_block(compiled.incidence_block().astype(dtype))
+        rng = np.random.default_rng(rows)
+        for low, high in ((0, 3), (-2, 3), (0, 40)):
+            Y = rng.integers(low, high, size=(rows, fresh.m))
+            assert np.array_equal(fresh.psi(Y), compiled.design.psi(Y)), (low, high)
+
+    def test_extreme_digits_round_trip(self):
+        from repro.designs.compiled import _EXACT_LIMIT, _packed_psi
+
+        block = np.array([[1.0, 0.0, 1.0], [1.0, 1.0, 0.0]])
+        Y = np.array([[5, 0], [-5, 0], [0, 5], [5, -5], [0, 0]], dtype=np.int64)
+        bound = float(np.abs(Y).sum(axis=1).max())
+        got = _packed_psi(Y, bound, block, _EXACT_LIMIT)
+        assert np.array_equal(got, Y @ block.astype(np.int64))
+
+    def test_small_batch_costs_one_gemm_row(self, compiled):
+        from repro.designs.compiled import _EXACT_LIMIT, _packed_psi
+
+        block = compiled.incidence_block().astype(np.float64).view(_RowCountingBlock)
+        Y = compiled.query_results(random_signals(compiled.n, 3, 3, np.random.default_rng(0)))
+        _RowCountingBlock.rows_seen = []
+        got = _packed_psi(Y, float(Y.sum(axis=1).max()), block, _EXACT_LIMIT)
+        assert _RowCountingBlock.rows_seen == [1]
+        assert np.array_equal(got, compiled.design.psi(Y))
+
+    def test_budget_limits_rows_per_gemm_row(self, compiled):
+        from repro.designs.compiled import _packed_psi
+
+        block = compiled.incidence_block().astype(np.float64).view(_RowCountingBlock)
+        Y = np.ones((4, compiled.m), dtype=np.int64)
+        bound = float(compiled.m)  # each digit needs shift = bits(m) + 1
+        shift = int(bound).bit_length() + 1
+        budget = bound * (1 + 2.0**shift) * 1.5  # two rows fit, three do not
+        _RowCountingBlock.rows_seen = []
+        got = _packed_psi(Y, bound, block, budget)
+        assert _RowCountingBlock.rows_seen == [2]
+        assert np.array_equal(got, compiled.design.psi(Y))
+
+
 class TestDesignCache:
     def test_hit_miss_counters(self, key, compiled):
         cache = DesignCache()

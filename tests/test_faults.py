@@ -510,7 +510,7 @@ class TestServeDegradation:
             plan = FaultPlan.parse("serve.decode:exception@1")
             ambient_fault(plan)
             pool = DecoderPool(MNDecoder())
-            coalescer = Coalescer(pool, window_s=0.0, max_batch=1)  # decode_retries=1 default
+            coalescer = Coalescer(pool, max_batch=1)  # decode_retries=1 default
             y, offline = make_case(KEY, 4, seed=40)
             support = await coalescer.submit(_request(KEY, y, 4, "r1"))
             assert support.tolist() == offline  # healed invisibly, bit-identical
@@ -525,7 +525,6 @@ class TestServeDegradation:
             ambient_fault(FaultPlan.parse("serve.decode:exception@1x2"))
             coalescer = Coalescer(
                 DecoderPool(MNDecoder()),
-                window_s=0.0,
                 max_batch=1,
                 decode_retries=0,
                 breaker_threshold=1,

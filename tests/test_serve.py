@@ -6,6 +6,7 @@ tests (subprocess, SIGTERM, CLI flags) live in ``test_serve_e2e.py``.
 """
 
 import asyncio
+import dataclasses
 import threading
 import time
 
@@ -41,8 +42,9 @@ def make_case(key, k, seed):
 class _FakeCompiled:
     """Minimal CompiledDecoder whose batches block on an external gate."""
 
-    def __init__(self, gate=None):
+    def __init__(self, gate=None, batches=None):
         self._gate = gate
+        self._batches = batches
 
     def decode(self, y, k):
         return self.decode_batch(y[None, :], k)[0]
@@ -50,17 +52,20 @@ class _FakeCompiled:
     def decode_batch(self, Y, k):
         if self._gate is not None:
             self._gate.wait()
+        if self._batches is not None:
+            self._batches.append(np.atleast_2d(Y).shape)
         return np.zeros((len(np.atleast_2d(Y)), 4), dtype=np.int8)
 
 
 class _FakeDecoder:
-    """Counts compiles; optionally gates decodes or fails compilation."""
+    """Counts compiles and records decoded ``(rows, m)`` shapes; optionally gates decodes or fails compilation."""
 
     def __init__(self, gate=None, compile_error=None, compile_delay=0.0):
         self._gate = gate
         self._error = compile_error
         self._delay = compile_delay
         self.compiles = 0
+        self.batches: "list[tuple[int, int]]" = []
 
     def compile(self, key, *, cache=None, store=None):
         self.compiles += 1
@@ -68,7 +73,26 @@ class _FakeDecoder:
             time.sleep(self._delay)
         if self._error is not None:
             raise self._error
-        return _FakeCompiled(self._gate)
+        return _FakeCompiled(self._gate, self.batches)
+
+
+#: Registry name the gated blocker decoder is served under.  Server tests
+#: need a name the wire protocol accepts; in-loop coalescer tests reuse it.
+GATE = "comp"
+
+
+def _gated_decoders(gate, **decoders):
+    """``decoders`` plus a ``GATE`` decoder whose batches hold their executor thread until ``gate`` is set."""
+    return {**decoders, GATE: _FakeDecoder(gate)}
+
+
+async def _until(predicate, timeout_s=5.0):
+    """Poll ``predicate`` on the loop; fail the test after ``timeout_s`` instead of spinning forever."""
+    deadline = time.monotonic() + timeout_s
+    while not predicate():
+        if time.monotonic() > deadline:
+            pytest.fail(f"condition not reached within {timeout_s}s")
+        await asyncio.sleep(0.001)
 
 
 class TestDecoderProtocol:
@@ -141,12 +165,17 @@ def _request(key, y, k, request_id, decoder="mn"):
     return DecodeRequest(request_id=request_id, key=key, y=y, k=k, decoder=decoder)
 
 
+def _hold(coalescer, request_id="blocker"):
+    """Submit a ``GATE`` request: a batch in flight until its gate opens, so later requests park."""
+    return coalescer.submit(_request(KEY_B, [0] * KEY_B.m, 1, request_id, decoder=GATE))
+
+
 class TestCoalescerAdmission:
     def test_overload_is_bounded_and_structured(self):
         async def run():
             gate = threading.Event()
             pool = DecoderPool(_FakeDecoder(gate))
-            coalescer = Coalescer(pool, window_s=0.0, max_batch=1, max_queue=3)
+            coalescer = Coalescer(pool, max_batch=1, max_queue=3)
             y = [0] * KEY_A.m
             futures = [coalescer.submit(_request(KEY_A, y, 2, i)) for i in range(3)]
             assert coalescer.stats.admitted == 3
@@ -170,12 +199,17 @@ class TestCoalescerAdmission:
 
     def test_drain_refuses_new_submissions(self):
         async def run():
-            coalescer = Coalescer(DecoderPool(_FakeDecoder()), window_s=5.0)
-            first = coalescer.submit(_request(KEY_A, [0] * KEY_A.m, 2, "in-before"))
-            coalescer.begin_drain()  # flushes the open bucket immediately
-            with pytest.raises(ProtocolError) as err:
-                coalescer.submit(_request(KEY_A, [0] * KEY_A.m, 2, "too-late"))
-            assert err.value.code == "shutting_down"
+            gate = threading.Event()
+            coalescer = Coalescer(DecoderPool(_gated_decoders(gate, mn=_FakeDecoder())))
+            try:
+                _hold(coalescer)
+                first = coalescer.submit(_request(KEY_A, [0] * KEY_A.m, 2, "in-before"))  # parked
+                coalescer.begin_drain()  # flushes the open bucket immediately
+                with pytest.raises(ProtocolError) as err:
+                    coalescer.submit(_request(KEY_A, [0] * KEY_A.m, 2, "too-late"))
+                assert err.value.code == "shutting_down"
+            finally:
+                gate.set()
             await coalescer.drain()
             assert first.done() and not first.cancelled()
 
@@ -184,7 +218,7 @@ class TestCoalescerAdmission:
     def test_compile_failure_fails_each_request_with_its_own_id(self):
         async def run():
             pool = DecoderPool(_FakeDecoder(compile_error=ValueError("bad")))
-            coalescer = Coalescer(pool, window_s=0.0, max_batch=2)
+            coalescer = Coalescer(pool, max_batch=2)
             futures = [coalescer.submit(_request(KEY_A, [0] * KEY_A.m, 2, f"r{i}")) for i in range(2)]
             results = await asyncio.gather(*futures, return_exceptions=True)
             assert [r.code for r in results] == ["bad_key", "bad_key"]
@@ -192,25 +226,58 @@ class TestCoalescerAdmission:
 
         asyncio.run(run())
 
-
-class TestCoalescerBatching:
-    def test_size_trigger_flushes_immediately(self):
+    @pytest.mark.parametrize("with_live_row", [True, False])
+    def test_timed_out_rows_are_dropped_at_dispatch(self, with_live_row):
         async def run():
-            pool = DecoderPool(MNDecoder())
-            coalescer = Coalescer(pool, window_s=60.0, max_batch=4)  # window too long to fire in-test
-            cases = [make_case(KEY_A, 5, seed) for seed in range(4)]
-            futures = [coalescer.submit(_request(KEY_A, y, 5, i)) for i, (y, _) in enumerate(cases)]
-            supports = await asyncio.gather(*futures)
-            for support, (_, offline) in zip(supports, cases):
-                assert support.tolist() == offline
-            assert coalescer.stats.batches == 1
-            assert coalescer.stats.max_batch_seen == 4
+            gate = threading.Event()
+            recorder = _FakeDecoder()
+            coalescer = Coalescer(DecoderPool(_gated_decoders(gate, mn=recorder)))
+            try:
+                answered = [_hold(coalescer)]
+                gone = coalescer.submit(_request(KEY_A, [0] * KEY_A.m, 2, "gone"))
+                if with_live_row:
+                    answered.append(coalescer.submit(_request(KEY_A, [0] * KEY_A.m, 2, "kept")))
+                with pytest.raises(asyncio.TimeoutError):
+                    await asyncio.wait_for(gone, 0.02)  # the caller gives up while parked
+                assert coalescer.stats.admitted == len(answered) + 1
+            finally:
+                gate.set()
+            await asyncio.gather(*answered)
+            await coalescer.drain()
+            # The timed-out row never reached the GEMM; with no row left, no decode_batch ran.
+            assert recorder.batches == ([(1, KEY_A.m)] if with_live_row else [])
+            assert coalescer.stats.admitted == 0
+            assert coalescer.stats.batches == len(answered)
 
         asyncio.run(run())
 
-    def test_window_trigger_flushes_partial_batch(self):
+
+class TestCoalescerBatching:
+    """Work-conserving dispatch; ``_hold`` keeps a batch in flight so requests park."""
+
+    def test_size_trigger_flushes_immediately(self):
         async def run():
-            coalescer = Coalescer(DecoderPool(MNDecoder()), window_s=0.01, max_batch=64)
+            gate = threading.Event()
+            coalescer = Coalescer(DecoderPool(_gated_decoders(gate, mn=MNDecoder())), max_batch=4)
+            try:
+                _hold(coalescer)
+                cases = [make_case(KEY_A, 5, seed) for seed in range(4)]
+                futures = [coalescer.submit(_request(KEY_A, y, 5, i)) for i, (y, _) in enumerate(cases)]
+                # The full bucket dispatched although a batch is still in flight.
+                supports = await asyncio.gather(*futures)
+                for support, (_, offline) in zip(supports, cases):
+                    assert support.tolist() == offline
+                assert coalescer.stats.batches == 1
+                assert coalescer.stats.max_batch_seen == 4
+            finally:
+                gate.set()
+            await coalescer.drain()
+
+        asyncio.run(run())
+
+    def test_idle_executor_flushes_partial_batch(self):
+        async def run():
+            coalescer = Coalescer(DecoderPool(MNDecoder()), max_batch=64)
             y, offline = make_case(KEY_A, 4, seed=11)
             support = await coalescer.submit(_request(KEY_A, y, 4, "solo"))
             assert support.tolist() == offline
@@ -221,19 +288,65 @@ class TestCoalescerBatching:
 
     def test_heterogeneous_k_in_one_batch_stays_bit_identical(self):
         async def run():
-            coalescer = Coalescer(DecoderPool(MNDecoder()), window_s=60.0, max_batch=3)
-            cases = [make_case(KEY_A, k, seed=20 + k) for k in (3, 5, 8)]
-            futures = [coalescer.submit(_request(KEY_A, y, k, k)) for (y, _), k in zip(cases, (3, 5, 8))]
+            gate = threading.Event()
+            coalescer = Coalescer(DecoderPool(_gated_decoders(gate, mn=MNDecoder())), max_batch=3)
+            try:
+                _hold(coalescer)
+                cases = [make_case(KEY_A, k, seed=20 + k) for k in (3, 5, 8)]
+                futures = [coalescer.submit(_request(KEY_A, y, k, k)) for (y, _), k in zip(cases, (3, 5, 8))]
+                supports = await asyncio.gather(*futures)
+                for support, (_, offline) in zip(supports, cases):
+                    assert support.tolist() == offline
+                assert coalescer.stats.batches == 1  # one ragged-k dispatch, not three
+            finally:
+                gate.set()
+            await coalescer.drain()
+
+        asyncio.run(run())
+
+    def test_requests_arriving_during_a_busy_batch_leave_together(self):
+        async def run():
+            gate = threading.Event()
+            coalescer = Coalescer(DecoderPool(_gated_decoders(gate, mn=MNDecoder())), max_batch=64)
+            cases = [make_case(KEY_A, 5, seed=90 + i) for i in range(5)]
+            try:
+                blocker = _hold(coalescer)
+                futures = [coalescer.submit(_request(KEY_A, y, 5, i)) for i, (y, _) in enumerate(cases)]
+                await asyncio.sleep(0.02)
+                assert not any(f.done() for f in futures)  # parked while the executor is busy
+            finally:
+                gate.set()
+            await blocker
             supports = await asyncio.gather(*futures)
             for support, (_, offline) in zip(supports, cases):
                 assert support.tolist() == offline
-            assert coalescer.stats.batches == 1  # one ragged-k dispatch, not three
+            assert coalescer.stats.batches == 2  # the blocker, then all five at once
+            assert coalescer.stats.max_batch_seen == 5
+
+        asyncio.run(run())
+
+    def test_freed_executor_dispatches_the_oldest_bucket_first(self):
+        async def run():
+            gate = threading.Event()
+            recorder = _FakeDecoder()
+            coalescer = Coalescer(DecoderPool(_gated_decoders(gate, mn=recorder)))
+            try:
+                _hold(coalescer)
+                futures = [
+                    coalescer.submit(_request(KEY_B, [0] * KEY_B.m, 2, "b1")),  # opens the oldest bucket
+                    coalescer.submit(_request(KEY_A, [0] * KEY_A.m, 2, "a1")),
+                    coalescer.submit(_request(KEY_B, [0] * KEY_B.m, 2, "b2")),  # joins B; B stays oldest
+                ]
+            finally:
+                gate.set()
+            await asyncio.gather(*futures)
+            assert recorder.batches == [(2, KEY_B.m), (1, KEY_A.m)]
 
         asyncio.run(run())
 
     def test_distinct_keys_batch_separately(self):
         async def run():
-            coalescer = Coalescer(DecoderPool(MNDecoder()), window_s=0.01, max_batch=64)
+            coalescer = Coalescer(DecoderPool(MNDecoder()), max_batch=64)
             ya, offline_a = make_case(KEY_A, 5, seed=31)
             yb, offline_b = make_case(KEY_B, 5, seed=32)
             sa, sb = await asyncio.gather(
@@ -305,7 +418,7 @@ class TestMultiDecoder:
     def test_same_key_different_decoders_never_share_a_batch(self):
         async def run():
             pool = DecoderPool({"mn": _FakeDecoder(), "omp": _FakeDecoder()})
-            coalescer = Coalescer(pool, window_s=0.01, max_batch=64)
+            coalescer = Coalescer(pool, max_batch=64)
             y = [0] * KEY_A.m
             await asyncio.gather(
                 coalescer.submit(_request(KEY_A, y, 2, "a", decoder="mn")),
@@ -330,7 +443,7 @@ class TestMultiDecoder:
 
         async def run():
             pool = DecoderPool({name: make_decoder(name) for name in ("mn", "omp")})
-            coalescer = Coalescer(pool, window_s=0.01, max_batch=64)
+            coalescer = Coalescer(pool, max_batch=64)
             compiled = compile_from_key(KEY_A)
             sigma = random_signal(KEY_A.n, 4, np.random.default_rng(44))
             y = compiled.query_results(sigma)
@@ -351,10 +464,15 @@ class TestDecodeServer:
     """The full server core over a real TCP transport, in-loop."""
 
     @staticmethod
-    async def _start(config):
-        server = DecodeServer(MNDecoder(), config)
+    async def _start(config, decoders=None):
+        server = DecodeServer(MNDecoder() if decoders is None else decoders, config)
         host, port = await server.start_tcp()
         return server, host, port
+
+    @staticmethod
+    def _hold(client):
+        """Send a ``GATE`` request whose batch holds the server's single executor thread."""
+        return asyncio.ensure_future(client.decode(KEY_B, [0] * KEY_B.m, 1, decoder=GATE, request_id="blocker"))
 
     def test_interleaved_clients_get_their_own_rows(self):
         async def run():
@@ -427,56 +545,125 @@ class TestDecodeServer:
 
     def test_request_timeout_is_structured(self):
         async def run():
-            # Window far beyond the deadline: the batch never flushes in time.
-            server, host, port = await self._start(ServeConfig(batch_window_ms=10_000.0, timeout_ms=50.0))
-            async with await ServeClient.connect(host, port) as client:
-                y, _ = make_case(KEY_A, 3, seed=60)
-                response = await client.decode(KEY_A, y, 3, request_id="slow")
-                assert response["ok"] is False
-                assert response["error"]["code"] == "timeout"
-                assert response["request_id"] == "slow"
+            # The executor is held past the deadline: the parked request never runs in time.
+            gate = threading.Event()
+            server, host, port = await self._start(ServeConfig(timeout_ms=50.0), _gated_decoders(gate, mn=MNDecoder()))
+            try:
+                async with await ServeClient.connect(host, port) as client:
+                    blocker = self._hold(client)
+                    await _until(lambda: server.coalescer.stats.admitted == 1)
+                    y, _ = make_case(KEY_A, 3, seed=60)
+                    response = await client.decode(KEY_A, y, 3, request_id="slow")
+                    assert response["ok"] is False
+                    assert response["error"]["code"] == "timeout"
+                    assert response["request_id"] == "slow"
+                    await blocker
+            finally:
+                gate.set()
             await server.drain()
 
         asyncio.run(run())
 
     def test_server_overload_response(self):
         async def run():
-            config = ServeConfig(batch_window_ms=10_000.0, max_batch=1024, max_queue=2, timeout_ms=200.0)
-            server, host, port = await self._start(config)
-            async with await ServeClient.connect(host, port) as client:
-                y, _ = make_case(KEY_A, 3, seed=70)
-                pending = [asyncio.ensure_future(client.decode(KEY_A, y, 3, request_id=f"p{i}")) for i in range(2)]
-                while server.coalescer.stats.admitted < 2:  # both admitted, parked in the window
-                    await asyncio.sleep(0.001)
-                refused = await client.decode(KEY_A, y, 3, request_id="over")
-                assert refused["ok"] is False
-                assert refused["error"]["code"] == "overloaded"
-                assert refused["request_id"] == "over"
-                parked = await asyncio.gather(*pending)
-                assert all(r["error"]["code"] == "timeout" for r in parked)
+            gate = threading.Event()
+            config = ServeConfig(max_batch=1024, max_queue=3, timeout_ms=200.0)
+            server, host, port = await self._start(config, _gated_decoders(gate, mn=MNDecoder()))
+            try:
+                async with await ServeClient.connect(host, port) as client:
+                    y, _ = make_case(KEY_A, 3, seed=70)
+                    blocker = self._hold(client)
+                    await _until(lambda: server.coalescer.stats.admitted == 1)
+                    pending = [asyncio.ensure_future(client.decode(KEY_A, y, 3, request_id=f"p{i}")) for i in range(2)]
+                    await _until(lambda: server.coalescer.stats.admitted == 3)  # blocker in flight, two parked
+                    refused = await client.decode(KEY_A, y, 3, request_id="over")
+                    assert refused["ok"] is False
+                    assert refused["error"]["code"] == "overloaded"
+                    assert refused["request_id"] == "over"
+                    parked = await asyncio.gather(*pending)
+                    assert all(r["error"]["code"] == "timeout" for r in parked)
+                    await blocker
+            finally:
+                gate.set()
             await server.drain()
             assert server.coalescer.stats.overloaded == 1
+            assert server.coalescer.stats.admitted == 0  # timed-out rows released their slots
 
         asyncio.run(run())
 
     def test_drain_answers_admitted_requests(self):
         async def run():
-            # Long window: requests are parked when the drain begins, and the
-            # drain's bucket flush must still decode and answer them.
-            server, host, port = await self._start(ServeConfig(batch_window_ms=10_000.0))
+            # Requests are parked behind a busy executor when the drain
+            # begins, and the drain's bucket flush must still decode and
+            # answer them.
+            gate = threading.Event()
+            server, host, port = await self._start(ServeConfig(), _gated_decoders(gate, mn=MNDecoder()))
             client = await ServeClient.connect(host, port)
-            cases = [make_case(KEY_A, 5, seed=80 + i) for i in range(3)]
-            pending = [
-                asyncio.ensure_future(client.decode(KEY_A, y, 5, request_id=i)) for i, (y, _) in enumerate(cases)
-            ]
-            while server.coalescer.stats.admitted < 3:
-                await asyncio.sleep(0.001)
-            await server.drain()
+            try:
+                blocker = self._hold(client)
+                await _until(lambda: server.coalescer.stats.admitted == 1)
+                cases = [make_case(KEY_A, 5, seed=80 + i) for i in range(3)]
+                pending = [
+                    asyncio.ensure_future(client.decode(KEY_A, y, 5, request_id=i)) for i, (y, _) in enumerate(cases)
+                ]
+                await _until(lambda: server.coalescer.stats.admitted == 4)
+                drain = asyncio.ensure_future(server.drain())
+                await asyncio.sleep(0)  # the drain runs to its first await: buckets flushed, admission shut
+                with pytest.raises(ProtocolError) as err:
+                    server.coalescer.submit(_request(KEY_A, cases[0][0], 5, "too-late"))
+                assert err.value.code == "shutting_down"
+            finally:
+                gate.set()
+            await drain
             responses = await asyncio.gather(*pending)
             for response, (_, offline) in zip(responses, cases):
                 assert response["ok"], response
                 assert response["support"] == offline
+            assert (await blocker)["ok"]
             await client.close()
+
+        asyncio.run(run())
+
+    def test_lone_request_to_an_idle_server_answers_at_once(self):
+        async def run():
+            # The deprecated window would have parked this request for
+            # 10s; the deadline would then have answered "timeout".
+            server, host, port = await self._start(ServeConfig(batch_window_ms=10_000.0, timeout_ms=2_000.0))
+            async with await ServeClient.connect(host, port) as client:
+                y, offline = make_case(KEY_A, 4, seed=65)
+                response = await client.decode(KEY_A, y, 4, request_id="solo")
+                assert response["ok"], response
+                assert response["support"] == offline
+            await server.drain()
+            assert server.coalescer.stats.batches == 1
+
+        asyncio.run(run())
+
+    def test_batch_window_ms_has_no_effect_on_batching(self):
+        async def stats_for(window_ms):
+            gate = threading.Event()
+            server, host, port = await self._start(ServeConfig(batch_window_ms=window_ms), _gated_decoders(gate, mn=MNDecoder()))
+            try:
+                async with await ServeClient.connect(host, port) as client:
+                    blocker = self._hold(client)
+                    await _until(lambda: server.coalescer.stats.admitted == 1)
+                    cases = [make_case(KEY_A, 5, seed=120 + i) for i in range(4)]
+                    pending = [asyncio.ensure_future(client.decode(KEY_A, y, 5, request_id=i)) for i, (y, _) in enumerate(cases)]
+                    await _until(lambda: server.coalescer.stats.admitted == 5)
+                    gate.set()
+                    responses = await asyncio.gather(blocker, *pending)
+                    assert all(r["ok"] for r in responses)
+                    y, _ = cases[0]
+                    assert (await client.decode(KEY_A, y, 5, request_id="after"))["ok"]
+            finally:
+                gate.set()
+            await server.drain()
+            return dataclasses.asdict(server.coalescer.stats)
+
+        async def run():
+            zero, long = await stats_for(0.0), await stats_for(10_000.0)
+            assert zero == long
+            assert (zero["batches"], zero["max_batch_seen"], zero["peak_admitted"]) == (3, 4, 5)
 
         asyncio.run(run())
 
@@ -498,5 +685,4 @@ class TestServeConfig:
 
     def test_unit_conversions(self):
         config = ServeConfig(batch_window_ms=2.5, timeout_ms=1500.0)
-        assert config.window_s == pytest.approx(0.0025)
         assert config.timeout_s == pytest.approx(1.5)
