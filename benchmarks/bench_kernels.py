@@ -6,22 +6,23 @@ dense-vs-legacy kernel pairs (``TestDenseVsLegacy``), whose
 ``speedup_x`` extra records track the dense incidence-block layer's win
 over the sort-based reference at several problem sizes, plus one
 end-to-end ``reconstruct_batch`` pair showing the compounding effect on
-the batched engine — and the generation-2 float32 tier
-(``TestKernelGen2``), whose ``gen2_speedup_x`` records track dense32
-against dense on the same hot kernels alongside the shared-memory
-BLAS-cap throughput probe.
+the batched engine.  The legacy side runs either by calling
+:mod:`repro.kernels.legacy` directly or by rerouting the
+:func:`repro.core.design.dispatch_kernel` seam to it.
 """
 
 import time
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
+import repro.core.design as design_mod
 from repro.core.design import PoolingDesign, stream_design_stats
 from repro.core.signal import random_signal
-from repro.engine.backend import SerialBackend, SharedMemBackend
 from repro.engine.batch import reconstruct_batch, signals_oracle
+from repro.kernels import legacy
 from repro.parallel.matvec import CSRMatrix
 from repro.parallel.sort import parallel_sample_sort, parallel_top_k
 from repro.rng.mt19937 import MT19937_64
@@ -35,6 +36,27 @@ def _best_of(fn, repeats=2):
         fn()
         best = min(best, time.perf_counter() - t0)
     return best
+
+
+@contextmanager
+def _legacy_seam():
+    """Route the hot paths through the legacy oracle for the enclosed calls."""
+    real = design_mod.dispatch_kernel
+    design_mod.dispatch_kernel = lambda _name=None: legacy
+    try:
+        yield
+    finally:
+        design_mod.dispatch_kernel = real
+
+
+def _on_legacy(fn):
+    """``fn`` as a zero-argument call that runs on the legacy oracle."""
+
+    def run():
+        with _legacy_seam():
+            return fn()
+
+    return run
 
 
 class TestRNGKernels:
@@ -84,13 +106,14 @@ class TestDenseVsLegacy:
         sigma = random_signal(n, 16, np.random.default_rng(0))
         m = 200
 
-        def run(kernel):
-            return stream_design_stats(sigma, m, root_seed=1, kernel=kernel)
+        def run():
+            return stream_design_stats(sigma, m, root_seed=1)
 
-        assert np.array_equal(run("dense").psi, run("legacy").psi)
-        legacy_s = _best_of(lambda: run("legacy"))
-        dense_s = _best_of(lambda: run("dense"), repeats=3)
-        stats = benchmark.pedantic(lambda: run("dense"), rounds=3, iterations=1)
+        run_legacy = _on_legacy(run)
+        assert np.array_equal(run().psi, run_legacy().psi)
+        legacy_s = _best_of(run_legacy)
+        dense_s = _best_of(run, repeats=3)
+        stats = benchmark.pedantic(run, rounds=3, iterations=1)
         assert stats.m == m
         benchmark.extra_info["n"] = n
         benchmark.extra_info["m"] = m
@@ -109,16 +132,21 @@ class TestDenseVsLegacy:
         rng = np.random.default_rng(1)
         design = PoolingDesign.sample(n, m, rng)
         sigmas = np.stack([random_signal(n, 16, np.random.default_rng(i)) for i in range(B)])
-        y = design.query_results(sigmas, kernel="dense")
+        y = design.query_results(sigmas)
 
-        def run(kernel):
-            fresh = PoolingDesign(design.n, design.entries, design.indptr)  # cold caches
-            return fresh.psi(y, kernel=kernel)
+        def fresh():
+            return PoolingDesign(design.n, design.entries, design.indptr)  # cold caches
 
-        assert np.array_equal(run("dense"), run("legacy"))
-        legacy_s = _best_of(lambda: run("legacy"))
-        dense_s = _best_of(lambda: run("dense"), repeats=3)
-        out = benchmark.pedantic(lambda: run("dense"), rounds=3, iterations=1)
+        def run():
+            return fresh().psi(y)
+
+        def run_legacy():
+            return legacy.materialised_psi(fresh(), y)[0]
+
+        assert np.array_equal(run(), run_legacy())
+        legacy_s = _best_of(run_legacy)
+        dense_s = _best_of(run, repeats=3)
+        out = benchmark.pedantic(run, rounds=3, iterations=1)
         assert out.shape == (B, n)
         benchmark.extra_info.update(n=n, m=m, B=B, kernel="dense")
         benchmark.extra_info["legacy_s"] = round(legacy_s, 6)
@@ -130,13 +158,16 @@ class TestDenseVsLegacy:
         design = PoolingDesign.sample(n, m, rng)
         sigmas = np.stack([random_signal(n, 16, np.random.default_rng(i)) for i in range(B)])
 
-        def run(kernel):
-            return design.query_results(sigmas, kernel=kernel)
+        def run():
+            return design.query_results(sigmas)
 
-        assert np.array_equal(run("dense"), run("legacy"))
-        legacy_s = _best_of(lambda: run("legacy"))
-        dense_s = _best_of(lambda: run("dense"), repeats=3)
-        out = benchmark.pedantic(lambda: run("dense"), rounds=3, iterations=1)
+        def run_legacy():
+            return legacy.query_results_batch(design, sigmas)
+
+        assert np.array_equal(run(), run_legacy())
+        legacy_s = _best_of(run_legacy)
+        dense_s = _best_of(run, repeats=3)
+        out = benchmark.pedantic(run, rounds=3, iterations=1)
         assert out.shape == (B, m)
         benchmark.extra_info.update(n=n, m=m, B=B, kernel="dense")
         benchmark.extra_info["legacy_s"] = round(legacy_s, 6)
@@ -148,106 +179,18 @@ class TestDenseVsLegacy:
         sigmas = np.stack([random_signal(n, k, np.random.default_rng(i)) for i in range(B)])
         oracle = signals_oracle(sigmas)
 
-        def run(kernel):
-            return reconstruct_batch(
-                n, m, oracle, B, k=k, rng=np.random.default_rng(7), backend=SerialBackend(kernel=kernel)
-            )
+        def run():
+            return reconstruct_batch(n, m, oracle, B, k=k, rng=np.random.default_rng(7))
 
-        assert np.array_equal(run("dense").sigma_hat, run("legacy").sigma_hat)
-        legacy_s = _best_of(lambda: run("legacy"))
-        dense_s = _best_of(lambda: run("dense"), repeats=3)
-        report = benchmark.pedantic(lambda: run("dense"), rounds=3, iterations=1)
+        run_legacy = _on_legacy(run)
+        assert np.array_equal(run().sigma_hat, run_legacy().sigma_hat)
+        legacy_s = _best_of(run_legacy)
+        dense_s = _best_of(run, repeats=3)
+        report = benchmark.pedantic(run, rounds=3, iterations=1)
         assert report.sigma_hat.shape == (B, n)
         benchmark.extra_info.update(n=n, m=m, B=B, k=k, kernel="dense")
         benchmark.extra_info["legacy_s"] = round(legacy_s, 6)
         benchmark.extra_info["speedup_x"] = round(legacy_s / dense_s, 2)
-
-
-class TestKernelGen2:
-    """Generation 2: float32-tier kernels vs the float64 dense generation.
-
-    ``gen2_speedup_x`` records dense/dense32 time per hot kernel at
-    n=10⁴ — the acceptance gate asks for ≥ 1.3× on at least one (the
-    GEMM-bound Ψ pass is the expected winner: half the memory traffic,
-    twice the SIMD lanes).  Parity is asserted once per pairing; the full
-    boundary matrix lives in tests/test_kernels.py.
-    """
-
-    N, M, B = 10_000, 400, 64
-
-    @pytest.fixture(scope="class")
-    def workload(self):
-        rng = np.random.default_rng(1)
-        design = PoolingDesign.sample(self.N, self.M, rng)
-        sigmas = np.stack([random_signal(self.N, 16, np.random.default_rng(i)) for i in range(self.B)])
-        y = design.query_results(sigmas, kernel="dense")
-        return design, sigmas, y
-
-    def _record(self, benchmark, run, out_check):
-        assert np.array_equal(run("dense"), run("dense32"))
-        dense_s = _best_of(lambda: run("dense"), repeats=3)
-        gen2_s = _best_of(lambda: run("dense32"), repeats=3)
-        out = benchmark.pedantic(lambda: run("dense32"), rounds=3, iterations=1)
-        out_check(out)
-        benchmark.extra_info.update(n=self.N, m=self.M, B=self.B, kernel="dense32")
-        benchmark.extra_info["dense_s"] = round(dense_s, 6)
-        benchmark.extra_info["gen2_speedup_x"] = round(dense_s / gen2_s, 2)
-
-    def test_stream_stats_dense32_vs_dense(self, benchmark):
-        sigma = random_signal(self.N, 16, np.random.default_rng(0))
-
-        def run(kernel):
-            return stream_design_stats(sigma, 200, root_seed=1, kernel=kernel).psi
-
-        self._record(benchmark, run, lambda psi: psi.shape == (self.N,))
-
-    def test_materialised_psi_dense32_vs_dense(self, benchmark, workload):
-        design, _, y = workload
-
-        def run(kernel):
-            fresh = PoolingDesign(design.n, design.entries, design.indptr)  # cold caches
-            return fresh.psi(y, kernel=kernel)
-
-        self._record(benchmark, run, lambda out: out.shape == (self.B, self.N))
-        # The GEMM-bound pass is where the float32 tier must pay off.
-        assert benchmark.extra_info["gen2_speedup_x"] > 1.0
-
-    def test_query_results_dense32_vs_dense(self, benchmark, workload):
-        design, sigmas, _ = workload
-
-        def run(kernel):
-            return design.query_results(sigmas, kernel=kernel)
-
-        self._record(benchmark, run, lambda out: out.shape == (self.B, self.M))
-
-    def test_sharedmem_blas_cap_throughput(self, benchmark):
-        """The W-worker BLAS cap must not regress multi-worker throughput.
-
-        Runs the streaming sweep end to end through a 2-worker pool with
-        the oversubscription cap (the SharedMemBackend default) and with
-        the cap explicitly widened to the full machine, recording the
-        ratio — on any machine the capped run should be at least
-        comparable (≤ ~1 is a win; > 1.15 would mean the governor hurts).
-        """
-        sigma = random_signal(self.N, 16, np.random.default_rng(3))
-
-        def run(blas_threads):
-            with SharedMemBackend(2, kernel="dense32", blas_threads=blas_threads) as backend:
-                return stream_design_stats(sigma, 200, root_seed=1, backend=backend)
-
-        from repro.kernels.threads import cpu_count, worker_thread_budget
-
-        capped = _best_of(lambda: run(None), repeats=3)  # default: cores // 2 cap
-        uncapped = _best_of(lambda: run(cpu_count()), repeats=3)
-        stats = benchmark.pedantic(lambda: run(None), rounds=2, iterations=1)
-        assert stats.m == 200
-        benchmark.extra_info.update(n=self.N, m=200, workers=2, kernel="dense32")
-        # On a 1-core runner both configurations resolve to 1 thread and the
-        # ratio is pure fork jitter; the recorded thread counts disambiguate.
-        benchmark.extra_info["capped_threads"] = worker_thread_budget(2)
-        benchmark.extra_info["uncapped_threads"] = cpu_count()
-        benchmark.extra_info["uncapped_s"] = round(uncapped, 6)
-        benchmark.extra_info["capped_over_uncapped"] = round(capped / uncapped, 3)
 
 
 class TestLinalgKernels:

@@ -60,14 +60,14 @@ Package map
 ``repro.core``        model, MN decoder, thresholds, exhaustive decoder
 ``repro.designs``     compiled-design lifecycle: compile, cache, serve
 ``repro.engine``      execution backends + batched multi-signal engine
-``repro.kernels``     dispatchable hot kernels: dense blocks + BLAS vs legacy
+``repro.kernels``     hot kernels (dense blocks + BLAS), legacy oracle, BLAS cap
 ``repro.noise``       noisy channels: models, keyed streams, robust decoding
 ``repro.rng``         MT19937-64 (paper parity) + deterministic substreams
 ``repro.parallel``    shared-memory worker pool, sort/matvec primitives
 ``repro.machine``     simulated lab: latency models, L-unit scheduling
 ``repro.baselines``   basis pursuit, OMP, AMP, binary group testing
 ``repro.experiments`` figure/claim regeneration drivers
-``repro.extensions``  threshold queries, adaptive rounds (§VI); noise shim
+``repro.extensions``  threshold queries, adaptive rounds (§VI)
 """
 
 from repro.core import (
@@ -123,7 +123,6 @@ from repro.designs import (
     compile_from_key,
     resolve_design_store,
 )
-from repro.kernels import available_kernels
 from repro.machine import SimulatedLab
 from repro.noise import (
     DropoutNoise,
@@ -161,7 +160,6 @@ __all__ = [
     "resolve_design_store",
     "SimulatedLab",
     "WorkerPool",
-    "available_kernels",
     "Backend",
     "SerialBackend",
     "SharedMemBackend",

@@ -24,13 +24,13 @@ Parity contract (asserted by ``tests/test_decoders.py``):
   compiled artifact holds the same float64 arrays the legacy path rebuilt, and
   replays the same operations on them.
 * ``decode_batch`` rows are bit-identical for the integer-exact COMP/DD
-  decoders (their products route through the kernel-dispatched
-  :meth:`~repro.designs.compiled.CompiledDesign.psi` seam).  For the float
+  decoders (their products route through the integer-exact
+  :meth:`~repro.designs.compiled.CompiledDesign.psi`).  For the float
   decoders (LP/OMP/AMP) a batched GEMM may round differently from the
   single-vector matvec in the last bits, so batch rows are guaranteed
   *thresholded-identical* (same recovered support) rather than bit-identical
   — the documented tolerance of the iterative baselines.  The float GEMMs are
-  precision-pinned to float64 so results do not depend on ``REPRO_KERNEL``.
+  precision-pinned to float64.
 
 Compiled artifacts derive entirely from a :class:`CompiledDesign`, so they
 compose with :class:`~repro.designs.cache.DesignCache` /
@@ -464,8 +464,8 @@ class CompiledGTDecoder(_CompiledBaseline):
     ``decode`` delegates to the legacy :func:`comp_decode`/:func:`dd_decode`
     on the equivalent :class:`BernoulliORDesign` view (bit-identical by
     construction); ``decode_batch`` expresses both phases as integer-exact
-    products through the kernel-dispatched
-    :meth:`~repro.designs.compiled.CompiledDesign.psi` seam, so batch rows
+    products through the integer-exact
+    :meth:`~repro.designs.compiled.CompiledDesign.psi`, so batch rows
     are bit-identical too.  ``k`` is accepted for protocol compatibility
     but unused — COMP/DD do not need the weight.
     """
@@ -502,7 +502,7 @@ class CompiledGTDecoder(_CompiledBaseline):
         positive = Y > 0
         # COMP phase: an entry survives iff no negative test contains it.
         # psi of the negative-test indicator counts, per entry, the negative
-        # tests it appears in — integer-exact under every kernel.
+        # tests it appears in — integer-exact.
         neg_counts = self.compiled.psi((~positive).astype(np.int64))
         candidates = neg_counts == 0
         if not self.definite_defectives:

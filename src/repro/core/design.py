@@ -44,12 +44,12 @@ one, bit for bit.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import ModuleType
 from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
 
-from repro.kernels import dispatch as dispatch_kernel
-from repro.kernels import resolve_kernel
+from repro.kernels import dense
 from repro.parallel.matvec import CSRMatrix
 from repro.parallel.partition import chunk_count
 from repro.parallel.pool import WorkerPool
@@ -65,6 +65,17 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (engine builds on cor
     from repro.noise.models import NoiseModel
 
 __all__ = ["PoolingDesign", "DesignStats", "stream_design_stats", "default_gamma"]
+
+
+def dispatch_kernel(name: "str | None" = None) -> ModuleType:
+    """The kernel module every hot path runs: :mod:`repro.kernels.dense`.
+
+    The one seam between the design code and its kernel, looked up at
+    call time: replacing this module attribute (as the parity tests do
+    with :mod:`repro.kernels.legacy`) reroutes every path, forked workers
+    included.  ``name`` is ignored; it lets wrappers forward an argument.
+    """
+    return dense
 
 
 def default_gamma(n: int) -> int:
@@ -260,21 +271,19 @@ class PoolingDesign:
 
     # -- queries ------------------------------------------------------------------
 
-    def query_results(self, sigma: np.ndarray, *, kernel: "str | None" = None) -> np.ndarray:
+    def query_results(self, sigma: np.ndarray) -> np.ndarray:
         """Additive results ``y``; multiplicities counted (paper §II).
 
         ``sigma`` may be one signal ``(n,)`` (returns ``(m,)``) or a batch
         ``(B, n)`` sharing this design (returns ``(B, m)``); row ``b`` of
         the batched result is bit-identical to the single-signal call on
-        ``sigma[b]``.  The batch validates once and evaluates through the
-        selected kernel (see :mod:`repro.kernels`): the dense kernel runs
-        chunked whole-batch gathers, the legacy one a per-row loop — both
-        bit-identical.
+        ``sigma[b]``.  The batch validates once and evaluates as chunked
+        count-block GEMMs (see :mod:`repro.kernels.dense`).
         """
         sigma = np.asarray(sigma)
         if sigma.ndim == 2:
             batch = check_binary_batch(sigma, length=self.n)
-            return dispatch_kernel(kernel).query_results_batch(self, batch)
+            return dispatch_kernel().query_results_batch(self, batch)
         return self._query_results_kernel(check_binary_signal(sigma, length=self.n))
 
     def _query_results_kernel(self, sigma: np.ndarray) -> np.ndarray:
@@ -305,11 +314,9 @@ class PoolingDesign:
         """Deduplicated ``(query, entry)`` incidence pairs, cached.
 
         Pairs come out in ``(query, entry)``-ascending order.  The backing
-        structure of the *legacy* kernel's :meth:`dstar` and :meth:`psi`
-        paths — reused across every signal of a batch, which is where the
-        batched engine's first-stage amortisation comes from.  The dense
-        kernel never materialises pairs; it scatters into incidence
-        blocks instead (:mod:`repro.kernels.dense`).
+        structure of the :mod:`~repro.kernels.legacy` oracle's ``Δ*`` and
+        ``Ψ`` paths.  The dense kernel never materialises pairs; it
+        scatters into incidence blocks instead (:mod:`repro.kernels.dense`).
 
         Regular designs dedup with a per-pool sort (``m`` small sorts of
         ``Γ``), which is several times faster than the ragged fallback's
@@ -334,27 +341,23 @@ class PoolingDesign:
         """``Δ_i``: number of occupied query slots per entry (multiplicity)."""
         return np.bincount(self.entries, minlength=self.n).astype(np.int64)
 
-    def dstar(self, *, kernel: "str | None" = None) -> np.ndarray:
+    def dstar(self) -> np.ndarray:
         """``Δ*_i``: number of *distinct* queries containing each entry.
 
-        A property of the design, computed once through the selected
-        kernel and cached; callers must treat the returned array as
-        read-only.  Both kernels produce bit-identical counts, so the
-        cache is kernel-agnostic.
+        A property of the design, computed once and cached; callers must
+        treat the returned array as read-only.
         """
         if self._dstar_cache is None:
-            self._dstar_cache = dispatch_kernel(kernel).materialised_dstar(self)
+            self._dstar_cache = dispatch_kernel().materialised_dstar(self)
         return self._dstar_cache
 
-    def psi(self, y: np.ndarray, *, kernel: "str | None" = None) -> np.ndarray:
+    def psi(self, y: np.ndarray) -> np.ndarray:
         """``Ψ_i = Σ_{j ∈ ∂*x_i} y_j`` — distinct queries counted once.
 
         ``y`` may be ``(m,)`` (returns ``(n,)``) or a batch ``(B, m)``
-        (returns ``(B, n)``).  The dense kernel computes all rows in one
-        chunked GEMM against the scattered incidence block (and fills the
-        ``Δ*`` cache from the same pass); the legacy kernel reuses the
-        sort-deduplicated pair list per row.  Accumulation is
-        integer-exact under both kernels.
+        (returns ``(B, n)``).  All rows come from one chunked GEMM against
+        the scattered incidence block, which fills the ``Δ*`` cache from
+        the same pass.  Accumulation is integer-exact.
         """
         y = np.asarray(y, dtype=np.int64)
         if y.ndim == 2:
@@ -365,25 +368,24 @@ class PoolingDesign:
             if y.shape != (self.m,):
                 raise ValueError(f"y must have length m={self.m}")
             y2 = y[None, :]
-        psi, dstar = dispatch_kernel(kernel).materialised_psi(self, y2, with_dstar=self._dstar_cache is None)
+        psi, dstar = dispatch_kernel().materialised_psi(self, y2, with_dstar=self._dstar_cache is None)
         if dstar is not None:
             self._dstar_cache = dstar
         return psi if y.ndim == 2 else psi[0]
 
-    def stats(self, sigma: np.ndarray, *, kernel: "str | None" = None) -> DesignStats:
+    def stats(self, sigma: np.ndarray) -> DesignStats:
         """All MN inputs computed from the materialised design.
 
         ``sigma`` may be one signal ``(n,)`` or a batch ``(B, n)``; the
         batched form evaluates all ``B`` signals against this one design
         (``y``/``psi`` gain a leading batch axis, ``dstar``/``delta`` stay
-        shared).  ``kernel`` selects the execution kernel
-        (:mod:`repro.kernels`); the result is bit-identical either way.
+        shared).
         """
-        y = self.query_results(sigma, kernel=kernel)
+        y = self.query_results(sigma)
         return DesignStats(
             y=y,
-            psi=self.psi(y, kernel=kernel),
-            dstar=self.dstar(kernel=kernel),
+            psi=self.psi(y),
+            dstar=self.dstar(),
             delta=self.delta(),
             n=self.n,
             m=self.m,
@@ -399,16 +401,15 @@ def _stream_task(payload, cache):
 
     The ground truth crosses the process boundary once via shared memory;
     the batch RNG (and the optional corruption RNG) are derived from
-    logical indices only.  The kernel name travels with the payload so
-    workers execute the same kernel the parent resolved; each worker
-    caches one reusable kernel workspace.
+    logical indices only.  Each worker caches one reusable kernel
+    workspace.
     """
-    (batch_idx, lo, hi, n, gamma, root_seed, trial_key, sigma_desc, noise, kernel_name) = payload
+    (batch_idx, lo, hi, n, gamma, root_seed, trial_key, sigma_desc, noise) = payload
     if sigma_desc.name not in cache:
         cache[sigma_desc.name] = SharedArray.attach(sigma_desc)
     sigma = cache[sigma_desc.name].array
-    kern = dispatch_kernel(kernel_name)
-    ws_key = ("stream-workspace", kernel_name)
+    kern = dispatch_kernel()
+    ws_key = "stream-workspace"
     if ws_key not in cache:
         cache[ws_key] = kern.make_stream_workspace()
     rng = StreamFamily(root_seed).generator(*trial_key, batch_idx)
@@ -441,7 +442,6 @@ def stream_design_stats(
     workers: int = 1,
     backend: "Backend | None" = None,
     noise: "NoiseModel | None" = None,
-    kernel: "str | None" = None,
     design: "CompiledDesign | None" = None,
     cache: "DesignCache | None" = None,
     store: "DesignStore | None" = None,
@@ -489,13 +489,6 @@ def stream_design_stats(
         — so like the design itself, the noisy statistics depend on
         ``batch_queries`` but never on the worker count.  ``None`` is the
         exact channel, bit-identical to the historical behaviour.
-    kernel:
-        Execution kernel for the per-batch statistics
-        (:mod:`repro.kernels`): ``"dense"`` (scatter-dedup + BLAS GEMM) or
-        ``"legacy"`` (sort-based dedup).  Defaults to the backend's
-        ``kernel`` field, then ``REPRO_KERNEL``, then ``"dense"``.  A pure
-        performance knob — kernels are bit-identical on the same sampled
-        edges, so it is *not* part of the design key.
     design:
         An explicit compiled design to decode against.  Its key must match
         this call's ``(n, m, gamma, root_seed, trial_key, batch_queries)``
@@ -556,12 +549,7 @@ def stream_design_stats(
             hi = min(m, lo + batch_queries)
             batches.append((b, lo, hi))
 
-        # Explicit kernel= wins over the backend's configured kernel; both
-        # resolve through REPRO_KERNEL / the library default.  Resolve to a
-        # concrete name here so worker processes never consult their own
-        # environment.
-        kernel_name = resolve_kernel(kernel if kernel is not None else getattr(exec_backend, "kernel", None))
-        kern = dispatch_kernel(kernel_name)
+        kern = dispatch_kernel()
 
         y = np.zeros(m, dtype=np.int64)
         psi = np.zeros(n, dtype=np.int64)
@@ -586,7 +574,7 @@ def stream_design_stats(
             try:
                 desc: SharedArrayDescriptor = shared_sigma.descriptor
                 payloads = [
-                    (b, lo, hi, n, gamma, root_seed, tuple(trial_key), desc, noise, kernel_name) for b, lo, hi in batches
+                    (b, lo, hi, n, gamma, root_seed, tuple(trial_key), desc, noise) for b, lo, hi in batches
                 ]
                 results = exec_backend.map(_stream_task, payloads)
                 for lo, yb, psib, dstarb, deltab in results:

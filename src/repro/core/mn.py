@@ -225,11 +225,8 @@ def mn_reconstruct(
     blocks:
         Parallel top-k decomposition width.
     backend:
-        Optional unified execution configuration; supersedes ``blocks``
-        and selects the Ψ/Δ* kernel through its ``kernel`` field
-        (:mod:`repro.kernels`).
+        Optional unified execution configuration; supersedes ``blocks``.
     """
-    kernel = getattr(backend, "kernel", None)
     y = np.asarray(y, dtype=np.int64)
     if y.ndim == 2:
         if y.shape[1] != design.m or y.shape[0] < 1:
@@ -238,8 +235,8 @@ def mn_reconstruct(
         raise ValueError(f"y must have length m={design.m}")
     stats = DesignStats(
         y=y,
-        psi=design.psi(y, kernel=kernel),
-        dstar=design.dstar(kernel=kernel),
+        psi=design.psi(y),
+        dstar=design.dstar(),
         delta=design.delta(),
         n=design.n,
         m=design.m,

@@ -33,6 +33,7 @@ from typing import TYPE_CHECKING, Optional
 import numpy as np
 
 from repro.core.design import DesignStats, PoolingDesign, default_gamma
+from repro.kernels.dense import _EXACT_LIMIT
 from repro.parallel.partition import chunk_count
 from repro.rng.streams import StreamFamily, batch_generator
 from repro.util.validation import check_nonneg_int, check_positive_int
@@ -56,20 +57,16 @@ __all__ = [
 #: of pinning gigabytes.
 BLOCK_RESIDENCY_LIMIT = 256 * 1024 * 1024
 
-#: Conservative bound under which float64 integer accumulation is exact
-#: (mirrors :data:`repro.kernels.dense._EXACT_LIMIT`).
-_EXACT_LIMIT = float(2**52)
-
-#: Float32 sibling (mirrors :data:`repro.kernels.dense32._EXACT_LIMIT32`):
-#: 2²³ keeps a 2× margin under float32's 2²⁴ exact-integer ceiling.  A design
+#: Float32 sibling of :data:`_EXACT_LIMIT`: 2²³ keeps a 2× margin under
+#: float32's 2²⁴ exact-integer ceiling.  A design
 #: whose *total draw count* sits below it gets a float32 Ψ block — every
 #: clean result is bounded by its pool size, so block-GEMM sums are provably
 #: exact; adversarial ``y`` beyond the budget is caught per call and routed
 #: through the kernel fallback.
 _EXACT_LIMIT32 = float(2**23)
 
-#: Block dtypes :meth:`CompiledDesign.adopt_block` accepts — the two GEMM
-#: precisions of the kernel generations.
+#: Block dtypes :meth:`CompiledDesign.adopt_block` accepts: the float32 and
+#: float64 ``Ψ`` block precisions.
 _BLOCK_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
 
 #: ``trial_key`` scheme tags for keys whose designs are *sampled* from a
@@ -412,11 +409,10 @@ class CompiledDesign:
     def psi(self, y: np.ndarray) -> np.ndarray:
         """``Ψ`` for ``(m,)`` or ``(B, m)`` results — one GEMM against the block.
 
-        Bit-identical to :meth:`PoolingDesign.psi` under every kernel: all
-        quantities are integer-exact, guarded by the exactness budget of
-        the *resident block's* dtype (2²³ for float32, 2⁵² for float64)
-        with a fallback to the kernel path, so accumulation order cannot
-        matter.  Small batches share GEMM rows (see :func:`_packed_psi`).
+        Bit-identical to :meth:`PoolingDesign.psi`: all quantities are
+        integer-exact, guarded by the exactness budget of the *resident
+        block's* dtype (2²³ for float32, 2⁵² for float64) with a fallback
+        to the kernel path, so accumulation order cannot matter.  Small batches share GEMM rows (see :func:`_packed_psi`).
         """
         y = np.asarray(y, dtype=np.int64)
         y2 = y[None, :] if y.ndim == 1 else y

@@ -3,10 +3,8 @@
 Historically every parallel entry point in the library grew its own knobs:
 ``pool=`` (an externally managed :class:`~repro.parallel.pool.WorkerPool`),
 ``workers=`` (spawn-my-own process count), ``blocks=`` (logical
-decomposition width for the sort/top-k kernels), ``batch_queries=``
-(streaming batch size) and — since the dense-kernel layer — ``kernel=``
-(the :mod:`repro.kernels` implementation the hot paths run on).  A
-:class:`Backend` bundles all five behind one
+decomposition width for the sort/top-k kernels) and ``batch_queries=``
+(streaming batch size).  A :class:`Backend` bundles all four behind one
 protocol so that callers configure execution once and thread a single
 object through :func:`~repro.core.reconstruction.reconstruct`,
 :func:`~repro.core.mn.run_mn_trial`, :class:`~repro.core.mn.MNDecoder`,
@@ -32,16 +30,9 @@ historical knobs coexist (passing both is rejected loudly).
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Any, Callable, Iterator, Optional, Protocol, Sequence, runtime_checkable
+from typing import Any, Callable, Iterator, Protocol, Sequence, runtime_checkable
 
-from repro.kernels import check_kernel
-from repro.kernels.threads import (
-    blas_thread_limit,
-    pin_workers_default,
-    resolve_blas_threads,
-    worker_core_slices,
-    worker_thread_budget,
-)
+from repro.kernels.threads import worker_thread_budget
 from repro.parallel.pool import RetryableTaskError, WorkerPool, resolve_workers
 from repro.util.validation import check_positive_int
 
@@ -72,12 +63,6 @@ class Backend(Protocol):
         Any value yields identical output; it controls decomposition only.
     batch_queries:
         Streaming batch size for :func:`~repro.core.design.stream_design_stats`.
-    kernel:
-        Execution-kernel choice for the engine's hot paths
-        (:mod:`repro.kernels`): ``"dense"``, ``"legacy"``, or ``None`` to
-        defer to ``REPRO_KERNEL`` / the library default.  Like ``blocks``
-        it never changes output — kernels are bit-identical — so it is a
-        pure performance knob.
     """
 
     @property
@@ -88,9 +73,6 @@ class Backend(Protocol):
 
     @property
     def batch_queries(self) -> int: ...
-
-    @property
-    def kernel(self) -> "str | None": ...
 
     def map(self, fn: Callable[[Any, dict], Any], payloads: Sequence[Any]) -> "list[Any]":
         """Run ``fn(payload, cache)`` over payloads; results in submission order."""
@@ -108,11 +90,6 @@ class SerialBackend:
     debuggable.  ``map`` preserves the per-worker ``cache`` contract of
     :class:`~repro.parallel.pool.WorkerPool` with a single persistent dict.
 
-    ``blas_threads`` caps the BLAS threadpool for the duration of each
-    :meth:`map` call (scoped — the process-wide setting is restored on
-    exit); ``None`` defers to ``REPRO_BLAS_THREADS`` and, absent that,
-    leaves the BLAS library's own default untouched.
-
     Examples
     --------
     >>> from repro.engine.backend import SerialBackend
@@ -121,17 +98,9 @@ class SerialBackend:
     (1, 4)
     """
 
-    def __init__(
-        self,
-        blocks: int = 1,
-        batch_queries: int = DEFAULT_BATCH_QUERIES,
-        kernel: "str | None" = None,
-        blas_threads: "int | None" = None,
-    ):
+    def __init__(self, blocks: int = 1, batch_queries: int = DEFAULT_BATCH_QUERIES):
         self._blocks = check_positive_int(blocks, "blocks")
         self._batch_queries = check_positive_int(batch_queries, "batch_queries")
-        self._kernel = check_kernel(kernel)
-        self._blas_threads = resolve_blas_threads(blas_threads)
         self._cache: dict = {}
         self._closed = False
 
@@ -147,20 +116,11 @@ class SerialBackend:
     def batch_queries(self) -> int:
         return self._batch_queries
 
-    @property
-    def kernel(self) -> "str | None":
-        return self._kernel
-
-    @property
-    def blas_threads(self) -> "int | None":
-        return self._blas_threads
-
     def map(self, fn: Callable[[Any, dict], Any], payloads: Sequence[Any]) -> "list[Any]":
         if self._closed:
             raise RuntimeError("backend already shut down")
         try:
-            with blas_thread_limit(self._blas_threads):
-                return [fn(p, self._cache) for p in payloads]
+            return [fn(p, self._cache) for p in payloads]
         except (MemoryError, BrokenPipeError) as exc:
             # Same structured, retryable shape the worker path reports —
             # transient resource pressure is not a caller logic error.
@@ -177,10 +137,7 @@ class SerialBackend:
         self.shutdown()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"SerialBackend(blocks={self._blocks}, batch_queries={self._batch_queries}, "
-            f"kernel={self._kernel!r}, blas_threads={self._blas_threads})"
-        )
+        return f"SerialBackend(blocks={self._blocks}, batch_queries={self._batch_queries})"
 
 
 class SharedMemBackend:
@@ -197,20 +154,14 @@ class SharedMemBackend:
         Streaming batch size (default :data:`DEFAULT_BATCH_QUERIES`).
     pool:
         Borrow an externally managed pool instead of owning one.  Borrowed
-        pools are never shut down by the backend — and they keep their own
-        thread policy (``blas_threads``/``pin_workers`` here only shape the
-        pool this backend creates itself).
-    blas_threads:
-        Per-worker BLAS threadpool cap.  ``None`` defers to
-        ``REPRO_BLAS_THREADS`` and, absent that, to the oversubscription
-        guard :func:`~repro.kernels.threads.worker_thread_budget` —
-        ``max(1, cores // workers)`` — whenever more than one worker runs.
-        Without the cap, ``W`` workers each spin up a ``cores``-wide BLAS
-        pool and the dense GEMM kernels fight themselves for the machine.
-    pin_workers:
-        Pin worker ``i`` to a contiguous core slice
-        (:func:`~repro.kernels.threads.worker_core_slices`).  ``None``
-        defers to the ``REPRO_PIN_WORKERS`` env switch (default off).
+        pools are never shut down by the backend, and they keep their own
+        BLAS thread cap.
+
+    An owned pool with more than one worker caps each worker's BLAS
+    threadpool at :func:`~repro.kernels.threads.worker_thread_budget` —
+    ``max(1, cores // workers)``.  Without the cap, ``W`` workers each spin
+    up a ``cores``-wide BLAS pool and the dense GEMM kernels fight
+    themselves for the machine.
 
     The owned pool is created lazily on first :meth:`map`, so constructing
     a backend is free and a backend that only ever configures ``blocks``
@@ -232,9 +183,6 @@ class SharedMemBackend:
         blocks: "int | None" = None,
         batch_queries: int = DEFAULT_BATCH_QUERIES,
         pool: "WorkerPool | None" = None,
-        kernel: "str | None" = None,
-        blas_threads: "int | None" = None,
-        pin_workers: "bool | None" = None,
     ):
         if pool is not None:
             self._workers = pool.workers
@@ -244,12 +192,7 @@ class SharedMemBackend:
         self._owns_pool = pool is None
         self._blocks = check_positive_int(blocks, "blocks") if blocks is not None else max(1, self._workers)
         self._batch_queries = check_positive_int(batch_queries, "batch_queries")
-        self._kernel = check_kernel(kernel)
-        explicit = resolve_blas_threads(blas_threads)
-        if explicit is None and self._workers > 1:
-            explicit = worker_thread_budget(self._workers)
-        self._blas_threads = explicit
-        self._pin_workers = pin_workers_default() if pin_workers is None else bool(pin_workers)
+        self._blas_threads = worker_thread_budget(self._workers) if self._workers > 1 else None
         self._closed = False
 
     @property
@@ -265,17 +208,9 @@ class SharedMemBackend:
         return self._batch_queries
 
     @property
-    def kernel(self) -> "str | None":
-        return self._kernel
-
-    @property
     def blas_threads(self) -> "int | None":
-        """Effective per-worker BLAS cap this backend applies to owned pools."""
+        """Per-worker BLAS cap this backend applies to owned pools."""
         return self._blas_threads
-
-    @property
-    def pin_workers(self) -> bool:
-        return self._pin_workers
 
     @property
     def pool(self) -> WorkerPool:
@@ -283,8 +218,7 @@ class SharedMemBackend:
         if self._pool is None:
             if self._closed:
                 raise RuntimeError("backend already shut down")
-            pin_cores = worker_core_slices(self._workers) if self._pin_workers else None
-            self._pool = WorkerPool(self._workers, blas_threads=self._blas_threads, pin_cores=pin_cores)
+            self._pool = WorkerPool(self._workers, blas_threads=self._blas_threads)
         return self._pool
 
     def map(self, fn: Callable[[Any, dict], Any], payloads: Sequence[Any]) -> "list[Any]":
@@ -309,8 +243,7 @@ class SharedMemBackend:
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"SharedMemBackend(workers={self._workers}, blocks={self._blocks}, "
-            f"batch_queries={self._batch_queries}, kernel={self._kernel!r}, "
-            f"blas_threads={self._blas_threads}, owns_pool={self._owns_pool})"
+            f"batch_queries={self._batch_queries}, owns_pool={self._owns_pool})"
         )
 
 
@@ -321,7 +254,6 @@ def resolve_backend(
     workers: "int | None" = None,
     blocks: "int | None" = None,
     batch_queries: "int | None" = None,
-    kernel: "str | None" = None,
 ) -> "tuple[Backend, bool]":
     """Translate a ``backend=`` argument or the legacy knobs into a backend.
 
@@ -332,8 +264,8 @@ def resolve_backend(
     Resolution rules, in order:
 
     1. An explicit ``backend`` wins; combining it with *any* legacy knob —
-       ``pool=``, ``workers=``, ``blocks=``, ``batch_queries=``,
-       ``kernel=`` — is an error (two sources of truth for how work runs;
+       ``pool=``, ``workers=``, ``blocks=``, ``batch_queries=`` — is an
+       error (two sources of truth for how work runs;
        silently ignoring the knob would mask configuration bugs).
     2. A legacy ``pool=`` is wrapped in a borrowing :class:`SharedMemBackend`.
     3. ``workers=1`` — the historical default of the wrapped entry points —
@@ -347,17 +279,17 @@ def resolve_backend(
             raise ValueError("pass either backend= or the legacy pool=, not both")
         if workers not in (None, 1):
             raise ValueError("pass either backend= or the legacy workers=, not both")
-        for name, value in (("blocks", blocks), ("batch_queries", batch_queries), ("kernel", kernel)):
+        for name, value in (("blocks", blocks), ("batch_queries", batch_queries)):
             if value is not None:
                 raise ValueError(f"pass either backend= or the legacy {name}=, not both")
         return backend, False
     bq = DEFAULT_BATCH_QUERIES if batch_queries is None else batch_queries
     if pool is not None:
-        return SharedMemBackend(pool=pool, blocks=blocks, batch_queries=bq, kernel=kernel), True
+        return SharedMemBackend(pool=pool, blocks=blocks, batch_queries=bq), True
     resolved = 1 if workers == 1 else resolve_workers(workers)
     if resolved == 1:
-        return SerialBackend(blocks=blocks if blocks is not None else 1, batch_queries=bq, kernel=kernel), True
-    return SharedMemBackend(resolved, blocks=blocks, batch_queries=bq, kernel=kernel), True
+        return SerialBackend(blocks=blocks if blocks is not None else 1, batch_queries=bq), True
+    return SharedMemBackend(resolved, blocks=blocks, batch_queries=bq), True
 
 
 @contextmanager
@@ -368,29 +300,16 @@ def resolved_backend(
     workers: "int | None" = None,
     blocks: "int | None" = None,
     batch_queries: "int | None" = None,
-    kernel: "str | None" = None,
 ) -> Iterator[Backend]:
     """:func:`resolve_backend` as a context manager.
 
     The single shape every wrapped entry point uses: yields the resolved
     backend and shuts it down on exit only when this call owns it (an
     explicit ``backend=`` is left untouched for the caller to reuse).
-
-    For inline (``workers == 1``) backends the backend's ``blas_threads``
-    cap is held for the whole ``with`` body, not just inside ``map`` —
-    entry points run most of their GEMM work directly in the caller, so a
-    map-scoped cap alone would miss it.  Multi-worker backends apply the
-    cap inside each worker instead.
     """
-    exec_backend, owned = resolve_backend(
-        backend, pool=pool, workers=workers, blocks=blocks, batch_queries=batch_queries, kernel=kernel
-    )
-    # getattr, not attribute access: Backend is a runtime_checkable Protocol
-    # and third-party backends predating the thread governor remain valid.
-    scoped_cap = getattr(exec_backend, "blas_threads", None) if exec_backend.workers == 1 else None
+    exec_backend, owned = resolve_backend(backend, pool=pool, workers=workers, blocks=blocks, batch_queries=batch_queries)
     try:
-        with blas_thread_limit(scoped_cap):
-            yield exec_backend
+        yield exec_backend
     finally:
         if owned:
             exec_backend.shutdown()

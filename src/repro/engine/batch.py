@@ -161,8 +161,7 @@ def reconstruct_batch(
         Parallel decomposition width for the decoder.
     backend:
         Optional :class:`~repro.engine.backend.Backend`; supersedes
-        ``blocks`` and selects the statistics kernel through its
-        ``kernel`` field (:mod:`repro.kernels`).
+        ``blocks``.
     noise:
         Optional :class:`~repro.noise.models.NoiseModel` simulating a noisy
         channel between the oracle and the decoder.  Signal ``b``'s results
@@ -253,11 +252,10 @@ def reconstruct_batch(
     if compiled is not None:
         stats = compiled.stats_for(y)
     else:
-        kernel = getattr(backend, "kernel", None)
         stats = DesignStats(
             y=y,
-            psi=design.psi(y, kernel=kernel),
-            dstar=design.dstar(kernel=kernel),
+            psi=design.psi(y),
+            dstar=design.dstar(),
             delta=design.delta(),
             n=n,
             m=m,

@@ -31,7 +31,6 @@ from repro.core.design import DesignStats, PoolingDesign
 from repro.core.mn import POINT_TRIAL_STRIDE, SIGNAL_STREAM_TAG, MNDecoder
 from repro.core.signal import exact_recovery, overlap_fraction, random_signal, theta_to_k
 from repro.engine.backend import Backend, resolved_backend
-from repro.kernels import resolve_kernel
 from repro.parallel.pool import WorkerPool
 from repro.rng.streams import batch_generator
 from repro.util.validation import check_nonneg_int, check_positive_int
@@ -76,7 +75,6 @@ def run_batched_point(
     blocks: int = 1,
     noise: "NoiseModel | None" = None,
     repeats: int = 1,
-    kernel: "str | None" = None,
     decoder: str = "mn",
     cache: "DesignCache | None" = None,
     store: "DesignStore | None" = None,
@@ -104,9 +102,9 @@ def run_batched_point(
     """
     repeats = check_positive_int(repeats, "repeats")
     design, compiled, sigmas, k = _point_first_stage(n, m, theta, k, trials, root_seed, point_id, gamma, cache, store)
-    y_clean = design.query_results(sigmas, kernel=kernel)
+    y_clean = design.query_results(sigmas)
     return _decode_noisy_point(
-        design, sigmas, y_clean, k, root_seed, point_id, blocks, noise, repeats, kernel=kernel, compiled=compiled, decoder=decoder
+        design, sigmas, y_clean, k, root_seed, point_id, blocks, noise, repeats, compiled=compiled, decoder=decoder
     )
 
 
@@ -173,7 +171,6 @@ def _decode_noisy_point(
     blocks: int,
     noise: "NoiseModel | None",
     repeats: int,
-    kernel: "str | None" = None,
     compiled=None,
     decoder: str = "mn",
 ) -> BatchedPointResult:
@@ -217,8 +214,8 @@ def _decode_noisy_point(
     else:
         stats = DesignStats(
             y=y,
-            psi=design.psi(y, kernel=kernel),
-            dstar=design.dstar(kernel=kernel),
+            psi=design.psi(y),
+            dstar=design.dstar(),
             delta=design.delta(),
             n=design.n,
             m=design.m,
@@ -247,7 +244,6 @@ def run_batched_point_sweep(
     gamma: Optional[int] = None,
     blocks: int = 1,
     repeats: int = 1,
-    kernel: "str | None" = None,
     decoder: str = "mn",
     cache: "DesignCache | None" = None,
     store: "DesignStore | None" = None,
@@ -264,10 +260,10 @@ def run_batched_point_sweep(
     """
     repeats = check_positive_int(repeats, "repeats")
     design, compiled, sigmas, k = _point_first_stage(n, m, theta, k, trials, root_seed, point_id, gamma, cache, store)
-    y_clean = design.query_results(sigmas, kernel=kernel)
+    y_clean = design.query_results(sigmas)
     return [
         _decode_noisy_point(
-            design, sigmas, y_clean, k, root_seed, point_id, blocks, model, repeats, kernel=kernel, compiled=compiled, decoder=decoder
+            design, sigmas, y_clean, k, root_seed, point_id, blocks, model, repeats, compiled=compiled, decoder=decoder
         )
         for model in models
     ]
@@ -297,7 +293,7 @@ def _grid_point_task(payload, cache) -> BatchedPointResult:
     directory, so all workers share one on-disk compilation.  The serial
     path pre-seeds both slots with the caller's objects directly.
     """
-    n, m, theta, k, trials, root_seed, point_id, gamma, blocks, noise, repeats, kernel, decoder, cache_bytes, store_spec = payload
+    n, m, theta, k, trials, root_seed, point_id, gamma, blocks, noise, repeats, decoder, cache_bytes, store_spec = payload
     if cache_bytes is None:
         # Caching explicitly off for this grid: also release any cache a
         # previous grid left behind in this worker (the opt-in contract
@@ -331,7 +327,6 @@ def _grid_point_task(payload, cache) -> BatchedPointResult:
         blocks=blocks,
         noise=noise,
         repeats=repeats,
-        kernel=kernel,
         decoder=decoder,
         cache=design_cache,
         store=design_store,
@@ -384,15 +379,12 @@ def run_trial_grid(
     from repro.designs.store import resolve_design_store
 
     with resolved_backend(backend, pool=pool, workers=workers) as exec_backend:
-        # Resolve to a concrete kernel name in the parent so workers never
-        # consult their own environment.
-        kernel = resolve_kernel(getattr(exec_backend, "kernel", None))
         cache_obj = resolve_design_cache(cache)
         cache_bytes = cache_obj.max_bytes if cache_obj is not None else None
         store_obj = resolve_design_store(store)
         store_spec = (str(store_obj.root), store_obj.max_bytes, store_obj.keep_blocks) if store_obj is not None else None
         payloads = [
-            (n, int(m), theta, k, trials, root_seed, idx, gamma, exec_backend.blocks, noise, repeats, kernel, decoder, cache_bytes, store_spec)
+            (n, int(m), theta, k, trials, root_seed, idx, gamma, exec_backend.blocks, noise, repeats, decoder, cache_bytes, store_spec)
             for idx, m in enumerate(ms)
         ]
         if exec_backend.workers == 1:

@@ -1,45 +1,26 @@
-"""Hot-kernel implementations behind a single dispatch seam.
+"""The engine's hot kernels and their reference oracle.
 
-The engine's three hot kernels — per-batch streaming statistics,
-materialised ``Ψ``/``Δ*`` accumulation, and batched query evaluation — ship
-in three interchangeable implementations:
+The three hot kernels — per-batch streaming statistics, materialised
+``Ψ``/``Δ*`` accumulation, and batched query evaluation — run on
+:mod:`repro.kernels.dense`, which exploits the density of the paper's
+design (``Γ = n/2`` means every query touches ~39% of all entries
+*distinctly*): distinctness is resolved by scattering into a dense
+``(b, n)`` incidence block (duplicate draws land on the same cell, so the
+scatter *is* the dedup) and ``Ψ`` becomes one BLAS GEMM against that block.
 
-* :mod:`repro.kernels.dense` — exploits the density of the paper's design
-  (``Γ = n/2`` means every query touches ~39% of all entries *distinctly*):
-  distinctness is resolved by scattering into a dense ``(b, n)`` incidence
-  block (duplicate draws land on the same cell, so the scatter *is* the
-  dedup) and ``Ψ`` becomes one BLAS GEMM against that block.
-* :mod:`repro.kernels.dense32` — the second kernel generation: the same
-  scatter+GEMM structure run in float32 (half the memory traffic, twice
-  the SIMD width) whenever a per-call exactness budget proves the integer
-  results cannot round, with automatic fallback to the float64 ``dense``
-  tier (and from there to exact integer matmul) when they could.
-* :mod:`repro.kernels.legacy` — the historical sort-based dedup and
-  per-row accumulation, kept as the bit-exact reference.
+:mod:`repro.kernels.legacy` keeps the historical sort-based dedup and
+per-row accumulation as the bit-exact reference oracle: ``dense`` falls
+back to it beyond its exactness guard, and the parity suite asserts the
+two agree bit for bit.  No runtime setting selects it; the hot paths reach
+their kernel through the single seam
+:func:`repro.core.design.dispatch_kernel`, which tests replace to run the
+oracle end to end (forked workers inherit the replacement).
 
-All produce **bit-identical integer outputs** on the same sampled edges —
-asserted by the parity test suite — so the kernel choice is a pure
-performance knob that never perturbs the library's reproducibility
-invariants (stream keys, ``batch_queries`` design-key semantics,
-noise-corruption ordering).
-
-Selection, in precedence order:
-
-1. an explicit ``kernel=`` argument on the entry point
-   (:func:`~repro.core.design.stream_design_stats`,
-   :meth:`~repro.core.design.PoolingDesign.psi`, …);
-2. the ``kernel=`` field of the active
-   :class:`~repro.engine.backend.Backend`;
-3. the ``REPRO_KERNEL`` environment variable;
-4. an applied autotuning result (:mod:`repro.kernels.tune` — in-memory,
-   or loaded once from the file named by ``REPRO_KERNEL_TUNING``);
-5. the library default, :data:`DEFAULT_KERNEL` (``"dense"``).
-
-Kernel-module contract (what :func:`dispatch` returns)
-------------------------------------------------------
+Kernel-module contract (what ``dispatch_kernel`` returns)
+---------------------------------------------------------
 
 ``NAME``
-    The kernel's registry name.
+    The kernel's name.
 ``make_stream_workspace()``
     Opaque reusable scratch for the streaming kernel (``None`` when the
     implementation needs none).  One workspace serves one sequential
@@ -60,78 +41,3 @@ Kernel-module contract (what :func:`dispatch` returns)
     ``(B, m)`` additive query results for a validated ``(B, n)`` int8
     signal batch, multiplicities counted.
 """
-
-from __future__ import annotations
-
-import importlib
-import os
-from types import ModuleType
-
-__all__ = [
-    "KERNEL_ENV",
-    "DEFAULT_KERNEL",
-    "available_kernels",
-    "check_kernel",
-    "resolve_kernel",
-    "dispatch",
-]
-
-#: Environment variable overriding the default kernel for the process.
-KERNEL_ENV = "REPRO_KERNEL"
-
-#: Library default when neither argument, backend, environment nor an
-#: applied tuning result chooses.
-DEFAULT_KERNEL = "dense"
-
-#: Registry: kernel name → module implementing the contract above.  New
-#: kernels register here (and only here) — dispatch, validation and the
-#: parity-suite sweeps all derive from this dict.
-_REGISTRY: "dict[str, str]" = {
-    "dense": "repro.kernels.dense",
-    "dense32": "repro.kernels.dense32",
-    "legacy": "repro.kernels.legacy",
-}
-
-
-def available_kernels() -> "tuple[str, ...]":
-    """Registry names accepted by :func:`dispatch` and ``Backend(kernel=)``."""
-    return tuple(_REGISTRY)
-
-
-def check_kernel(name: "str | None", *, source: "str | None" = None) -> "str | None":
-    """Validate a kernel name (``None`` = "decide later"), returning it.
-
-    ``source`` names where a bad value came from (e.g. the ``REPRO_KERNEL``
-    environment variable) so both validation paths share one message shape.
-    """
-    if name is not None and name not in _REGISTRY:
-        what = f"unknown kernel {name!r}" if source is None else f"{source}={name!r} is not a known kernel"
-        raise ValueError(f"{what}; available: {', '.join(_REGISTRY)}")
-    return name
-
-
-def resolve_kernel(name: "str | None" = None) -> str:
-    """Concrete kernel name for ``name`` (argument > environment > tuning > default)."""
-    if name is not None:
-        return check_kernel(name)  # type: ignore[return-value]
-    env = os.environ.get(KERNEL_ENV)
-    if env:
-        check_kernel(env, source=KERNEL_ENV)
-        return env
-    from repro.kernels import tune  # deferred: tune imports this module
-
-    tuned = tune.tuned_kernel()
-    if tuned is not None:
-        return tuned
-    return DEFAULT_KERNEL
-
-
-def dispatch(name: "str | None" = None) -> ModuleType:
-    """The kernel module implementing the contract above for ``name``.
-
-    ``None`` resolves through ``REPRO_KERNEL`` / tuning /
-    :data:`DEFAULT_KERNEL`.  Imports lazily so that ``repro.kernels``
-    itself stays import-cycle-free (the kernel modules import
-    :mod:`repro.core.design` types for annotations only).
-    """
-    return importlib.import_module(_REGISTRY[resolve_kernel(name)])

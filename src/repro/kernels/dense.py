@@ -17,29 +17,23 @@ the incidence structure is dense, not sparse.  These kernels exploit that:
   indices (multiplicities preserved) and evaluates all ``B`` signals as
   ``σ @ countsᵀ``, replacing the per-signal gather loop.
 
-Blocks are stored in a floating dtype so the products run through BLAS,
-and chunked over queries so peak scratch stays cache-sized: streaming
-blocks target :data:`STREAM_BLOCK_BYTES` (the scatter is the bottleneck
-there and wants L2-resident blocks), materialised ones :data:`BLOCK_BYTES`
-(larger, to amortise the per-chunk ``(B, n)`` accumulate).  Chunk row and
-count indices are kept int32 where the linearised index space provably
-fits, halving the index traffic of the scatter/bincount.
+Blocks are stored in float64 so the products run through BLAS, and
+chunked over queries so peak scratch stays cache-sized: streaming blocks
+target :data:`STREAM_BLOCK_BYTES` (the scatter is the bottleneck there and
+wants L2-resident blocks), materialised ones :data:`BLOCK_BYTES` (larger,
+to amortise the per-chunk ``(B, n)`` accumulate).  Chunk row and count
+indices are kept int32 where the linearised index space provably fits,
+halving the index traffic of the scatter/bincount.
 
 Exactness: every output is integer-valued, and float64 accumulation of
 integers is exact while all running sums stay below 2⁵³ — guarded per
 call (:data:`_EXACT_LIMIT`, a 2× safety margin); beyond the guard the
-kernels fall back to exact integer matmul.  Dense and legacy kernels are
+kernels fall back to exact integer matmul (or, for queries, to the
+:mod:`~repro.kernels.legacy` oracle).  Dense and legacy kernels are
 therefore bit-identical on identical sampled edges *always*, not just
 typically.  Scratch blocks are reset by re-zeroing only the touched rows
 and reused across batches via :class:`DenseStreamWorkspace`, so the
 steady-state streaming loop performs no ``O(b·n)`` allocations.
-
-This module also hosts the shared machinery of the second kernel
-generation: the workspace, :func:`stream_y`, :func:`fold_stream`,
-:func:`psi_pass` and :func:`query_pass` are all parametrised by the GEMM
-dtype so :mod:`repro.kernels.dense32` is the same code run in float32
-under a tighter (2²³) budget — which is what makes the two generations
-bit-identical by construction.
 """
 
 from __future__ import annotations
@@ -69,9 +63,9 @@ STREAM_BLOCK_BYTES = 1024 * 1024
 _EXACT_LIMIT = float(2**52)
 
 
-def _rows_per_block(n: int, block_bytes: int = BLOCK_BYTES, itemsize: int = 8) -> int:
-    """Query rows fitting one ``itemsize``-byte-cell block of width ``n``."""
-    return max(1, block_bytes // (itemsize * max(1, n)))
+def _rows_per_block(n: int, block_bytes: int = BLOCK_BYTES) -> int:
+    """Query rows fitting one float64 block of width ``n``."""
+    return max(1, block_bytes // (8 * max(1, n)))
 
 
 def _index_dtype(cells: int) -> np.dtype:
@@ -87,14 +81,9 @@ class DenseStreamWorkspace:
     steady-state loop allocates none of the ``O(b·n)`` / ``O(b·Γ)``
     intermediates.  The incidence block is kept all-zero between calls
     (re-zeroed after every chunk), which is what makes reuse sound.
-
-    ``dtype`` selects the GEMM precision of every float buffer (block,
-    coefficients, accumulators) — float64 here, float32 for the
-    :mod:`~repro.kernels.dense32` generation.
     """
 
-    def __init__(self, dtype: "np.dtype | type" = np.float64) -> None:
-        self.dtype = np.dtype(dtype)
+    def __init__(self) -> None:
         self._block: "np.ndarray | None" = None
         self._hits: "np.ndarray | None" = None
         self._coef: "np.ndarray | None" = None
@@ -105,7 +94,7 @@ class DenseStreamWorkspace:
     def block(self, rows: int, n: int) -> np.ndarray:
         """An all-zero ``(rows, n)`` block (callers must re-zero it)."""
         if self._block is None or self._block.shape[1] != n or self._block.shape[0] < rows:
-            self._block = np.zeros((rows, n), dtype=self.dtype)
+            self._block = np.zeros((rows, n), dtype=np.float64)
         return self._block[:rows]
 
     def hits(self, shape: "tuple[int, int]", dtype: np.dtype) -> np.ndarray:
@@ -117,19 +106,19 @@ class DenseStreamWorkspace:
     def coef(self, rows: int) -> np.ndarray:
         """``(2, rows)`` GEMM coefficients: all-ones row (Δ*) over ``y`` row (Ψ)."""
         if self._coef is None or self._coef.shape[1] < rows:
-            self._coef = np.empty((2, rows), dtype=self.dtype)
+            self._coef = np.empty((2, rows), dtype=np.float64)
         return self._coef[:, :rows]
 
     def acc(self, n: int) -> np.ndarray:
         """``(2, n)`` accumulator for the (Δ*, Ψ) GEMM rows."""
         if self._acc is None or self._acc.shape[1] != n:
-            self._acc = np.empty((2, n), dtype=self.dtype)
+            self._acc = np.empty((2, n), dtype=np.float64)
         return self._acc
 
     def tmp(self, n: int) -> np.ndarray:
         """``(2, n)`` GEMM output buffer for non-first chunks."""
         if self._tmp is None or self._tmp.shape[1] != n:
-            self._tmp = np.empty((2, n), dtype=self.dtype)
+            self._tmp = np.empty((2, n), dtype=np.float64)
         return self._tmp
 
     def row_index(self, rows: int) -> np.ndarray:
@@ -142,28 +131,6 @@ class DenseStreamWorkspace:
 def make_stream_workspace() -> DenseStreamWorkspace:
     """Fresh reusable scratch for a sequential stream loop."""
     return DenseStreamWorkspace()
-
-
-def stream_y(
-    edges: np.ndarray,
-    sigma: np.ndarray,
-    noise: "NoiseModel | None",
-    noise_rng: "np.random.Generator | None",
-    workspace: DenseStreamWorkspace,
-) -> np.ndarray:
-    """The batch's result vector: one gather + row sum, noise-corrupted.
-
-    Shared verbatim by every dense-generation kernel — ``y`` is computed
-    and corrupted in int64 regardless of the GEMM dtype, so the noise
-    contract (corrupt *before* the Ψ contribution) and the values
-    themselves are identical across generations by construction.
-    """
-    hits = workspace.hits(edges.shape, sigma.dtype)
-    np.take(sigma, edges, out=hits)
-    y = hits.sum(axis=1, dtype=np.int64)
-    if noise is not None:
-        y = noise.corrupt(y, noise_rng)
-    return y
 
 
 def fold_stream(
@@ -179,12 +146,12 @@ def fold_stream(
     """Fold a batch's scattered incidence into ``Ψ/Δ*/Δ`` (in place).
 
     With ``exact`` the (Δ*, Ψ) contributions are the two rows of one
-    ``(2, rc) @ (rc, n)`` GEMM per chunk in the workspace dtype — the
-    caller guarantees every running sum is exactly representable there.
-    Otherwise the same chunks accumulate through exact integer matmul.
+    ``(2, rc) @ (rc, n)`` float64 GEMM per chunk — the caller guarantees
+    every running sum is exactly representable there.  Otherwise the same
+    chunks accumulate through exact integer matmul.
     """
     b = edges.shape[0]
-    rows_per = _rows_per_block(n, STREAM_BLOCK_BYTES, workspace.dtype.itemsize)
+    rows_per = _rows_per_block(n, STREAM_BLOCK_BYTES)
     acc_int: "np.ndarray | None" = None if exact else np.zeros((2, n), dtype=np.int64)
     acc = workspace.acc(n)
     first = True
@@ -232,15 +199,19 @@ def stream_batch(
 ) -> np.ndarray:
     """Fold one ``(b, Γ)`` edge batch into the running accumulators.
 
-    ``y`` comes from a single gather + row sum; distinct hits are marked by
-    scattering into the dense block; ``Δ*`` and ``Ψ`` contributions are the
-    two rows of one ``(2, b) @ (b, n)`` BLAS product per chunk.  With
-    ``noise`` given, ``y`` is corrupted *before* the Ψ product — exactly
-    the legacy kernel's ordering, so noisy statistics stay bit-identical
-    too.
+    ``y`` comes from a single gather + row sum in int64; distinct hits are
+    marked by scattering into the dense block; ``Δ*`` and ``Ψ``
+    contributions are the two rows of one ``(2, b) @ (b, n)`` BLAS product
+    per chunk.  With ``noise`` given, ``y`` is corrupted *before* the Ψ
+    product — exactly the legacy kernel's ordering, so noisy statistics
+    stay bit-identical too.
     """
     ws = workspace if workspace is not None else DenseStreamWorkspace()
-    y = stream_y(edges, sigma, noise, noise_rng, ws)
+    hits = ws.hits(edges.shape, sigma.dtype)
+    np.take(sigma, edges, out=hits)
+    y = hits.sum(axis=1, dtype=np.int64)
+    if noise is not None:
+        y = noise.corrupt(y, noise_rng)
     # Joint exactness bound for both GEMM rows: every running Ψ sum is
     # ≤ Σ|y| and every Δ* count is ≤ b.
     exact = float(np.abs(y).sum(dtype=np.float64)) + edges.shape[0] < _EXACT_LIMIT
@@ -248,27 +219,24 @@ def stream_batch(
     return y
 
 
-def psi_pass(
-    design: "PoolingDesign", y: np.ndarray, with_dstar: bool, dtype: "np.dtype | type | None"
-) -> "tuple[np.ndarray, np.ndarray | None]":
+def psi_pass(design: "PoolingDesign", y: np.ndarray, with_dstar: bool, exact: bool) -> "tuple[np.ndarray, np.ndarray | None]":
     """One chunked scatter pass computing ``Ψ`` (and optionally ``Δ*``).
 
-    ``dtype`` selects the GEMM precision; the caller guarantees every
-    running sum (``Σ|y[b]|`` per signal; ``m`` for ``Δ*``) is exactly
-    representable in it.  ``None`` runs the exact integer-matmul tier
-    (``Δ*`` then still accumulates in float64 — bounded by ``m``, far
-    below its mantissa limit).
+    With ``exact`` the caller guarantees every running sum (``Σ|y[b]|``
+    per signal) is exactly representable in float64 and ``Ψ`` is one GEMM
+    per chunk; otherwise it accumulates through exact integer matmul.
+    ``Δ*`` always accumulates in float64 — bounded by ``m``, far below
+    its mantissa limit.
     """
     n, m = design.n, design.m
     B = y.shape[0]
-    work_dtype = np.dtype(np.float64 if dtype is None else dtype)
-    rows_per = _rows_per_block(n, BLOCK_BYTES, work_dtype.itemsize)
-    block = np.zeros((min(max(m, 1), rows_per), n), dtype=work_dtype)
-    psi_f = np.zeros((B, n), dtype=work_dtype) if dtype is not None else None
-    psi_i = None if dtype is not None else np.zeros((B, n), dtype=np.int64)
-    tmp = np.empty((B, n), dtype=work_dtype) if dtype is not None else None
-    dstar_f = np.zeros(n, dtype=work_dtype) if with_dstar else None
-    yf = y.astype(work_dtype) if dtype is not None else None
+    rows_per = _rows_per_block(n)
+    block = np.zeros((min(max(m, 1), rows_per), n), dtype=np.float64)
+    psi_f = np.zeros((B, n), dtype=np.float64) if exact else None
+    psi_i = None if exact else np.zeros((B, n), dtype=np.int64)
+    tmp = np.empty((B, n), dtype=np.float64) if exact else None
+    dstar_f = np.zeros(n, dtype=np.float64) if with_dstar else None
+    yf = y.astype(np.float64) if exact else None
     indptr, entries = design.indptr, design.entries
     idx = _index_dtype(rows_per)  # row indices only — always fits int32
     for qlo in range(0, m, rows_per):
@@ -281,13 +249,13 @@ def psi_pass(
         blk[rows_local, ents] = 1.0
         if with_dstar:
             dstar_f += blk.sum(axis=0)
-        if dtype is not None:
+        if exact:
             np.matmul(yf[:, qlo:qhi], blk, out=tmp)
             psi_f += tmp
         else:
             psi_i += y[:, qlo:qhi] @ (blk != 0)
         blk.fill(0.0)
-    psi = psi_f.astype(np.int64) if dtype is not None else psi_i
+    psi = psi_f.astype(np.int64) if exact else psi_i
     dstar = dstar_f.astype(np.int64) if with_dstar else None
     return psi, dstar
 
@@ -302,9 +270,8 @@ def materialised_psi(
     scattered blocks (column sums), so :meth:`PoolingDesign.stats` pays a
     single pass over the incidence structure.
     """
-    m = design.m
-    exact = bool(np.abs(y).sum(axis=1, dtype=np.float64).max() < _EXACT_LIMIT) if m else True
-    return psi_pass(design, y, with_dstar, np.float64 if exact else None)
+    exact = bool(np.abs(y).sum(axis=1, dtype=np.float64).max() < _EXACT_LIMIT) if design.m else True
+    return psi_pass(design, y, with_dstar, exact)
 
 
 def materialised_dstar(design: "PoolingDesign") -> np.ndarray:
@@ -318,36 +285,6 @@ def materialised_dstar(design: "PoolingDesign") -> np.ndarray:
     return dstar
 
 
-def query_pass(design: "PoolingDesign", batch: np.ndarray, dtype: "np.dtype | type") -> np.ndarray:
-    """Chunked count-block ``σ @ countsᵀ`` evaluation in ``dtype``.
-
-    The caller guarantees every count product is exactly representable in
-    ``dtype`` (results are bounded by total draws).  Linearised
-    ``(row, entry)`` bincount indices are int32 whenever the chunk's cell
-    space fits, halving the index traffic of the dominant bincount.
-    """
-    B, n = batch.shape
-    m = design.m
-    work_dtype = np.dtype(dtype)
-    out = np.zeros((B, m), dtype=np.int64)
-    entries, indptr = design.entries, design.indptr
-    bf = batch.astype(work_dtype)
-    rows_per = _rows_per_block(n, BLOCK_BYTES, work_dtype.itemsize)
-    idx = _index_dtype(rows_per * n)
-    tmp = np.empty((B, min(m, rows_per)), dtype=work_dtype)
-    for qlo in range(0, m, rows_per):
-        qhi = min(m, qlo + rows_per)
-        rc = qhi - qlo
-        sizes = indptr[qlo + 1 : qhi + 1] - indptr[qlo:qhi]
-        rows_local = np.repeat(np.arange(rc, dtype=idx), sizes)
-        ents = entries[int(indptr[qlo]) : int(indptr[qhi])]
-        lin = np.add(np.multiply(rows_local, n, dtype=idx), ents, dtype=idx)
-        counts = np.bincount(lin, minlength=rc * n).reshape(rc, n)
-        np.matmul(bf, counts.astype(work_dtype).T, out=tmp[:, :rc])
-        out[:, qlo:qhi] = tmp[:, :rc]
-    return out
-
-
 def query_results_batch(design: "PoolingDesign", batch: np.ndarray) -> np.ndarray:
     """``(B, m)`` additive results as ``σ @ countsᵀ`` — one GEMM per chunk.
 
@@ -356,7 +293,9 @@ def query_results_batch(design: "PoolingDesign", batch: np.ndarray) -> np.ndarra
     linearised ``(row, entry)`` indices; all ``B`` signals then evaluate
     against it in one BLAS call.  The bincount is paid once per chunk and
     amortised over the whole batch, which is why this beats the
-    cache-friendly per-signal gather loop for every ``B > 1``.
+    cache-friendly per-signal gather loop for every ``B > 1``.  Linearised
+    indices are int32 whenever the chunk's cell space fits, halving the
+    index traffic of the dominant bincount.
 
     Exactness: results are bounded by the pool sizes, so the float64
     products are exact far below the 2⁵³ mantissa limit; the guard falls
@@ -371,4 +310,20 @@ def query_results_batch(design: "PoolingDesign", batch: np.ndarray) -> np.ndarra
         from repro.kernels import legacy
 
         return legacy.query_results_batch(design, batch)
-    return query_pass(design, batch, np.float64)
+    out = np.zeros((B, m), dtype=np.int64)
+    entries, indptr = design.entries, design.indptr
+    bf = batch.astype(np.float64)
+    rows_per = _rows_per_block(n)
+    idx = _index_dtype(rows_per * n)
+    tmp = np.empty((B, min(m, rows_per)), dtype=np.float64)
+    for qlo in range(0, m, rows_per):
+        qhi = min(m, qlo + rows_per)
+        rc = qhi - qlo
+        sizes = indptr[qlo + 1 : qhi + 1] - indptr[qlo:qhi]
+        rows_local = np.repeat(np.arange(rc, dtype=idx), sizes)
+        ents = entries[int(indptr[qlo]) : int(indptr[qhi])]
+        lin = np.add(np.multiply(rows_local, n, dtype=idx), ents, dtype=idx)
+        counts = np.bincount(lin, minlength=rc * n).reshape(rc, n)
+        np.matmul(bf, counts.astype(np.float64).T, out=tmp[:, :rc])
+        out[:, qlo:qhi] = tmp[:, :rc]
+    return out

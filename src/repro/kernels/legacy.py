@@ -2,9 +2,9 @@
 
 Distinctness is resolved by sorting edge rows (streaming) or pools
 (materialised) and masking repeats; per-signal accumulation runs row by
-row.  Kept verbatim as the bit-exact reference the dense kernels are
-tested against, and selectable via ``REPRO_KERNEL=legacy`` or
-``Backend(kernel="legacy")``.
+row.  Kept verbatim as the bit-exact reference oracle the dense kernels
+are tested against (and fall back to beyond their exactness guard); no
+runtime setting selects it.
 
 One deliberate change from the historical code: the materialised ``Ψ``
 accumulation no longer round-trips through ``np.bincount``'s float64

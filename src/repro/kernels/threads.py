@@ -1,4 +1,4 @@
-"""BLAS threadpool governor: dependency-light thread-count and affinity control.
+"""BLAS threadpool governor: dependency-light thread-count control.
 
 The GEMM kernels run on whatever BLAS NumPy linked — which manages its own
 thread pool, invisibly to the library.  That is fine for one serial
@@ -12,12 +12,11 @@ the minimal control surface to stop that, with **no** new dependencies:
   symbols carry a vendor prefix and ``64_`` suffix — MKL, BLIS) and bind
   its get/set thread functions through :mod:`ctypes`;
 * **get/set** — :func:`get_blas_threads` / :func:`set_blas_threads`, plus
-  the scoped :func:`blas_thread_limit` used around serial hot paths;
-* **policy** — ``REPRO_BLAS_THREADS`` / ``blas_threads=`` resolution
-  (:func:`resolve_blas_threads`), the ``max(1, cores // W)`` per-worker
-  budget (:func:`worker_thread_budget`) and contiguous per-worker core
-  slices for optional ``os.sched_setaffinity`` pinning
-  (:func:`worker_core_slices`);
+  the scoped :func:`blas_thread_limit` an inline (single-worker) pool
+  applies around each map;
+* **policy** — the ``max(1, cores // W)`` per-worker budget
+  (:func:`worker_thread_budget`) that a multi-worker
+  :class:`~repro.engine.backend.SharedMemBackend` gives its pool;
 * **provenance** — :func:`machine_provenance`, stamped into every
   ``BENCH_*.json`` payload so perf trajectories are comparable across
   machines.
@@ -38,30 +37,15 @@ from typing import Callable, Iterator, Optional
 import numpy as np
 
 __all__ = [
-    "BLAS_THREADS_ENV",
-    "PIN_WORKERS_ENV",
     "BlasControl",
     "detect_blas",
-    "blas_vendor",
     "get_blas_threads",
     "set_blas_threads",
     "blas_thread_limit",
-    "resolve_blas_threads",
     "worker_thread_budget",
-    "worker_core_slices",
-    "pin_workers_default",
     "cpu_count",
     "machine_provenance",
 ]
-
-#: Environment variable fixing the BLAS thread count for the process (and,
-#: through the backends, for every forked worker).  An explicit
-#: ``blas_threads=`` argument always wins.
-BLAS_THREADS_ENV = "REPRO_BLAS_THREADS"
-
-#: Truthy values opt sharedmem workers into ``sched_setaffinity`` pinning
-#: (each worker confined to a contiguous slice of the available cores).
-PIN_WORKERS_ENV = "REPRO_PIN_WORKERS"
 
 #: Shared-object basename fragments identifying each vendor.  SciPy/NumPy
 #: wheels ship OpenBLAS as ``libscipy_openblas…``; conda/MKL environments
@@ -159,12 +143,6 @@ def detect_blas(refresh: bool = False) -> "Optional[BlasControl]":
     return _CONTROL  # type: ignore[return-value]
 
 
-def blas_vendor() -> str:
-    """Detected vendor name (``"openblas"``/``"mkl"``/``"blis"``) or ``"unknown"``."""
-    control = detect_blas()
-    return control.vendor if control is not None else "unknown"
-
-
 def get_blas_threads() -> int:
     """Current BLAS thread count (``1`` when no pool is controllable)."""
     control = detect_blas()
@@ -200,28 +178,6 @@ def blas_thread_limit(threads: "int | None") -> Iterator[None]:
         set_blas_threads(previous)
 
 
-def resolve_blas_threads(blas_threads: "int | None" = None) -> "int | None":
-    """Resolve a ``blas_threads=`` argument (argument > environment > ``None``).
-
-    ``None`` means "no explicit policy" — backends then apply their own
-    default (the sharedmem per-worker budget) or leave the pool alone.
-    """
-    if blas_threads is not None:
-        if not isinstance(blas_threads, int) or isinstance(blas_threads, bool) or blas_threads < 1:
-            raise ValueError(f"blas_threads must be a positive int, got {blas_threads!r}")
-        return blas_threads
-    raw = os.environ.get(BLAS_THREADS_ENV, "").strip()
-    if not raw:
-        return None
-    try:
-        parsed = int(raw)
-    except ValueError:
-        parsed = 0
-    if parsed < 1:
-        raise ValueError(f"{BLAS_THREADS_ENV}={raw!r} is not a positive integer")
-    return parsed
-
-
 def cpu_count() -> int:
     """Usable core count, respecting CPU affinity where the platform has it."""
     try:
@@ -239,43 +195,6 @@ def worker_thread_budget(workers: int, cores: "int | None" = None) -> int:
     """
     total = cpu_count() if cores is None else max(1, int(cores))
     return max(1, total // max(1, int(workers)))
-
-
-def worker_core_slices(workers: int, cores: "int | list[int] | None" = None) -> "list[tuple[int, ...]]":
-    """Contiguous core slices for pinning ``workers`` processes.
-
-    ``cores`` is the available core-id list (default: this process's
-    affinity set; an int means ``range(cores)``).  They are split into
-    ``workers`` near-equal contiguous runs (remainder cores go to the
-    first slices); with more workers than cores, workers share cores
-    round-robin.  Every returned slice is non-empty, so it is always a
-    valid ``sched_setaffinity`` mask.
-    """
-    if cores is None:
-        try:
-            cores = sorted(os.sched_getaffinity(0))
-        except AttributeError:  # pragma: no cover - non-Linux
-            cores = list(range(cpu_count()))
-    elif isinstance(cores, int):
-        cores = list(range(max(1, cores)))
-    count = max(1, int(workers))
-    if not cores:
-        cores = [0]
-    if len(cores) < count:
-        return [(cores[i % len(cores)],) for i in range(count)]
-    per, extra = divmod(len(cores), count)
-    slices: "list[tuple[int, ...]]" = []
-    start = 0
-    for i in range(count):
-        size = per + (1 if i < extra else 0)
-        slices.append(tuple(cores[start : start + size]))
-        start += size
-    return slices
-
-
-def pin_workers_default() -> bool:
-    """Whether ``REPRO_PIN_WORKERS`` opts this process into worker pinning."""
-    return os.environ.get(PIN_WORKERS_ENV, "").strip().lower() in ("1", "true", "yes", "on")
 
 
 def machine_provenance() -> "dict[str, object]":

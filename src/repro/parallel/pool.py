@@ -123,11 +123,7 @@ def resolve_workers(workers: "int | None") -> int:
     return workers
 
 
-def _worker_loop(
-    conn: "mp_connection.Connection",
-    blas_threads: "int | None" = None,
-    cores: "tuple[int, ...] | None" = None,
-) -> None:
+def _worker_loop(conn: "mp_connection.Connection", blas_threads: "int | None" = None) -> None:
     """Worker main: recv ``(kind, task_id, fn, payload)``, send results.
 
     All traffic flows over the worker's private duplex ``conn`` — sends
@@ -135,16 +131,10 @@ def _worker_loop(
     the process dies (or is killed) only at well-defined points and no
     shared lock can be orphaned (see the module docstring).
 
-    ``blas_threads``/``cores`` apply the pool's thread-governance policy
-    inside the worker itself (not at fork time), so it holds for spawned
-    workers and survives anything the parent does to its own pool after
-    forking.
+    ``blas_threads`` applies the pool's BLAS thread cap inside the worker
+    itself (not at fork time), so it holds for spawned workers and
+    survives anything the parent does to its own pool after forking.
     """
-    if cores:
-        try:
-            os.sched_setaffinity(0, cores)
-        except (AttributeError, OSError):  # pragma: no cover - non-Linux / revoked cores
-            pass
     if blas_threads is not None:
         from repro.kernels.threads import set_blas_threads
 
@@ -192,11 +182,9 @@ class WorkerPool:
 
     ``blas_threads`` caps each worker's BLAS threadpool (applied inside the
     worker via :mod:`repro.kernels.threads` — the cure for ``W × T``
-    oversubscription); ``pin_cores`` optionally pins worker ``i`` to the
-    ``i``-th core tuple via ``sched_setaffinity``.  In the inline
-    (``workers == 1``) case the cap is applied scoped around each
-    :meth:`map` call instead, so the parent's pool configuration is
-    restored afterwards.
+    oversubscription).  In the inline (``workers == 1``) case the cap is
+    applied scoped around each :meth:`map` call instead, so the parent's
+    pool configuration is restored afterwards.
 
     ``max_task_retries`` bounds crash healing: a task whose worker dies is
     re-dispatched to a respawned worker at most this many times before
@@ -209,7 +197,6 @@ class WorkerPool:
         workers: "int | None" = None,
         *,
         blas_threads: "int | None" = None,
-        pin_cores: "Sequence[tuple[int, ...]] | None" = None,
         max_task_retries: int = 2,
     ):
         if max_task_retries < 0:
@@ -217,7 +204,6 @@ class WorkerPool:
         self.workers = resolve_workers(workers)
         self.blas_threads = blas_threads
         self.max_task_retries = int(max_task_retries)
-        self._pin_cores = [tuple(c) for c in pin_cores] if pin_cores else None
         self._ctx: "mp.context.BaseContext | None" = None
         self._members: "list[_Worker]" = []
         self._inline_cache: dict = {}
@@ -226,16 +212,14 @@ class WorkerPool:
         self._respawns = 0  #: how many replacement workers were forked
         if self.workers > 1:
             self._ctx = mp.get_context("fork" if "fork" in mp.get_all_start_methods() else "spawn")
-            for i in range(self.workers):
-                self._members.append(self._spawn_member(i))
+            self._members = [self._spawn_member() for _ in range(self.workers)]
 
-    def _spawn_member(self, index: int) -> _Worker:
+    def _spawn_member(self) -> _Worker:
         assert self._ctx is not None
-        cores = self._pin_cores[index % len(self._pin_cores)] if self._pin_cores else None
         parent_conn, child_conn = self._ctx.Pipe(duplex=True)
         proc = self._ctx.Process(
             target=_worker_loop,
-            args=(child_conn, self.blas_threads, cores),
+            args=(child_conn, self.blas_threads),
             daemon=True,
         )
         proc.start()
@@ -372,7 +356,7 @@ class WorkerPool:
                     )
                 pending.appendleft(lost)  # re-dispatch first: the oldest task is the most waited-on
             member.conn.close()
-            self._members[index] = self._spawn_member(index)
+            self._members[index] = self._spawn_member()
             self._respawns += 1
         return True
 

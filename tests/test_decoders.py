@@ -6,20 +6,22 @@ The contract (module docstring of :mod:`repro.baselines.compiled`):
   to ``basis_pursuit_decode`` / ``omp_decode`` / ``amp_decode`` /
   ``comp_decode`` / ``dd_decode`` on every design;
 * ``decode_batch`` rows are bit-identical for the integer-exact COMP/DD
-  decoders (they route through the kernel-dispatched ``Ψ`` seam) and
+  decoders (they route through the integer-exact ``compiled.psi``) and
   support-identical (same thresholded output) for the float LP/OMP/AMP
   decoders, whose GEMMs round differently from per-signal matvecs;
 * results are independent of how the artifact was obtained — direct
   compile, cache/store read-through, or shared-memory attach.
 
-Run under ``REPRO_KERNEL=dense|dense32|legacy`` in CI: the float paths
-are float64-pinned (kernel-independent by construction) and the GT paths
-go through ``compiled.psi`` (kernel-dispatched, integer-exact).
+The float paths are float64-pinned.  The GT batch paths also agree with
+the legacy kernel oracle when ``compiled.psi`` falls back to the kernel
+(``TestGTKernelOracle``).
 """
 
 import numpy as np
 import pytest
 
+import repro.core.design as design_mod
+import repro.designs.compiled as compiled_mod
 from repro.baselines import (
     BernoulliORDesign,
     amp_decode,
@@ -42,6 +44,7 @@ from repro.designs import (
     make_decoder,
 )
 from repro.designs.sharing import SharedCompiledDesign, attach_compiled
+from repro.kernels import dense, legacy
 
 N, M, K = 300, 120, 4
 BATCH = 5
@@ -122,6 +125,25 @@ class TestGTBatchParity:
         _, compiled, Y, _ = instance
         decoder = make_decoder(name).compile(compiled)
         assert np.array_equal(decoder.decode_batch(Y[:1], K)[0], decoder.decode(Y[0], K))
+
+
+@pytest.mark.parametrize("name", GT_DECODERS)
+class TestGTKernelOracle:
+    def test_kernel_fallback_matches_legacy_oracle(self, name, instance, monkeypatch):
+        """Zero exactness budgets route ``compiled.psi`` through the kernel
+        seam; the dense kernel and the legacy oracle then both reproduce the
+        resident-block batch rows bit for bit."""
+        design, compiled, Y, noisy = instance
+        decoder = make_decoder(name).compile(compiled)
+        want = [decoder.decode_batch(observed, K) for observed in (Y, noisy)]
+        monkeypatch.setattr(compiled_mod, "_EXACT_LIMIT32", 0.0)
+        monkeypatch.setattr(compiled_mod, "_EXACT_LIMIT", 0.0)
+        for kernel in (dense, legacy):
+            calls = []
+            monkeypatch.setattr(design_mod, "dispatch_kernel", lambda _name=None, k=kernel: calls.append(k) or k)
+            for observed, expected in zip((Y, noisy), want):
+                assert np.array_equal(decoder.decode_batch(observed, K), expected), kernel.NAME
+            assert calls and set(calls) == {kernel}
 
 
 def _skip_if_tie_degenerate(name: str, request) -> None:

@@ -63,7 +63,7 @@ class TestBackends:
             with pytest.raises(ValueError, match="not both"):
                 resolve_backend(SerialBackend(), pool=pool)
 
-    @pytest.mark.parametrize("knob", [{"workers": 4}, {"blocks": 2}, {"batch_queries": 128}, {"kernel": "legacy"}])
+    @pytest.mark.parametrize("knob", [{"workers": 4}, {"blocks": 2}, {"batch_queries": 128}])
     def test_resolve_rejects_backend_plus_any_legacy_knob(self, knob):
         # An explicit backend with a loose knob is two sources of truth;
         # every knob must be rejected loudly, not silently ignored.

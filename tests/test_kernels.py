@@ -1,30 +1,46 @@
-"""Kernel parity across generations: the dispatch seam and bit-identity.
+"""Kernel parity: the production ``dense`` kernel against the ``legacy`` oracle.
 
-The kernel layer (:mod:`repro.kernels`) is a pure performance knob; every
-test here asserts *exact* equality of the integer outputs — the library's
-central reproducibility invariant extended to kernel choice.  Coverage
-follows the seam end to end: streaming statistics (with and without noise,
-serial and multi-worker), materialised designs (regular and ragged),
-batched query evaluation, odd shapes (``B = 1``, last short batch,
-``Γ = 1``), the precision-tier boundaries (float32's 2²⁴ and float64's
-2⁵³ exact-integer limits, below and above), the BLAS threadpool governor,
-the autotuner, and the top-k fast path.
+Every hot path runs :mod:`repro.kernels.dense` through the one seam
+:func:`repro.core.design.dispatch_kernel`; the tests here reroute that
+seam to :mod:`repro.kernels.legacy` (forked workers inherit the
+replacement) or call the oracle's functions directly, and assert *exact*
+equality of the integer outputs — the library's central reproducibility
+invariant extended to the kernel.  Coverage follows the seam end to end:
+streaming statistics (with and without noise, serial and multi-worker),
+materialised designs (regular and ragged), batched query evaluation, odd
+shapes (``B = 1``, last short batch, ``Γ = 1``), the float64 2⁵²
+exactness guard (below and above), the BLAS thread cap, and the top-k
+fast path.
 """
+
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
 
-from repro import kernels
+import repro.core.design as design_mod
 from repro.core.design import PoolingDesign, stream_design_stats
 from repro.core.signal import random_signal
-from repro.engine.backend import SerialBackend, SharedMemBackend, resolve_backend
+from repro.engine.backend import SharedMemBackend
 from repro.engine.batch import reconstruct_batch, signals_oracle
-from repro.kernels import threads, tune
+from repro.kernels import dense, legacy, threads
 from repro.noise.models import DropoutNoise, GaussianNoise
+from repro.parallel.pool import WorkerPool
 from repro.parallel.sort import parallel_top_k
 
 STATS_FIELDS = ("y", "psi", "dstar", "delta")
-ALL_KERNELS = ("dense", "dense32", "legacy")
+KERNELS = {"dense": dense, "legacy": legacy}
+
+
+@contextmanager
+def kernel(module):
+    """Run the enclosed calls on kernel ``module`` through the dispatch seam."""
+    real = design_mod.dispatch_kernel
+    design_mod.dispatch_kernel = lambda _name=None: module
+    try:
+        yield
+    finally:
+        design_mod.dispatch_kernel = real
 
 
 def assert_stats_equal(a, b, context=""):
@@ -34,41 +50,44 @@ def assert_stats_equal(a, b, context=""):
         assert np.array_equal(left, right), f"{field} differs {context}"
 
 
+class _MarkedLegacy:
+    """The legacy oracle, except every streamed batch adds one to ``Δ_0``:
+    visible proof in the output of which kernel a worker ran."""
+
+    NAME = "marked-legacy"
+    make_stream_workspace = staticmethod(legacy.make_stream_workspace)
+
+    @staticmethod
+    def stream_batch(edges, sigma, n, noise, noise_rng, psi, dstar, delta, workspace=None):
+        y = legacy.stream_batch(edges, sigma, n, noise, noise_rng, psi, dstar, delta, workspace)
+        delta[0] += 1
+        return y
+
+
 class TestDispatch:
     def test_names(self):
-        assert kernels.available_kernels() == ALL_KERNELS
-        for name in kernels.available_kernels():
-            assert kernels.dispatch(name).NAME == name
+        """Both modules implement the kernel contract the seam hands out."""
+        contract = ("make_stream_workspace", "stream_batch", "materialised_psi", "materialised_dstar", "query_results_batch")
+        for name, module in KERNELS.items():
+            assert module.NAME == name
+            assert all(callable(getattr(module, attr)) for attr in contract), name
 
-    def test_unknown_rejected(self):
-        with pytest.raises(ValueError, match="unknown kernel"):
-            kernels.dispatch("blas")
-        with pytest.raises(ValueError, match="unknown kernel"):
-            kernels.check_kernel("sparse")
+    def test_default_is_dense(self):
+        assert design_mod.dispatch_kernel() is dense
+        assert design_mod.dispatch_kernel(None) is dense  # how wrappers forward a name
 
-    def test_default_is_dense(self, monkeypatch):
-        monkeypatch.delenv(kernels.KERNEL_ENV, raising=False)
-        assert kernels.resolve_kernel(None) == kernels.DEFAULT_KERNEL == "dense"
+    def test_seam_reroutes_materialised_paths(self):
+        design = PoolingDesign.sample(40, 9, np.random.default_rng(0))
+        with kernel(legacy):
+            design.psi(np.ones(9, dtype=np.int64))
+        assert design._entry_groups_cache is not None  # only the legacy oracle builds it
 
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv(kernels.KERNEL_ENV, "legacy")
-        assert kernels.resolve_kernel(None) == "legacy"
-        # An explicit argument beats the environment.
-        assert kernels.resolve_kernel("dense") == "dense"
-
-    def test_env_invalid_rejected(self, monkeypatch):
-        monkeypatch.setenv(kernels.KERNEL_ENV, "fast")
-        with pytest.raises(ValueError, match="REPRO_KERNEL"):
-            kernels.resolve_kernel(None)
-
-    def test_backend_carries_kernel(self):
-        assert SerialBackend().kernel is None
-        assert SerialBackend(kernel="legacy").kernel == "legacy"
-        assert SharedMemBackend(2, kernel="dense").kernel == "dense"
-        with pytest.raises(ValueError, match="unknown kernel"):
-            SerialBackend(kernel="turbo")
-        backend, owned = resolve_backend(workers=1, kernel="legacy")
-        assert owned and backend.kernel == "legacy"
+    def test_seam_reaches_forked_workers(self):
+        sigma = random_signal(40, 4, np.random.default_rng(0))
+        plain = stream_design_stats(sigma, 24, root_seed=1, batch_queries=8)
+        with kernel(_MarkedLegacy), SharedMemBackend(2) as backend:
+            marked = stream_design_stats(sigma, 24, root_seed=1, batch_queries=8, backend=backend)
+        assert marked.delta[0] == plain.delta[0] + 3  # all three batches ran the substitute in a worker
 
 
 class TestStreamParity:
@@ -86,40 +105,36 @@ class TestStreamParity:
     )
     def test_noiseless(self, n, m, gamma, batch_queries):
         sigma = random_signal(n, max(1, n // 8), np.random.default_rng(0))
-        legacy = stream_design_stats(sigma, m, root_seed=7, gamma=gamma, batch_queries=batch_queries, kernel="legacy")
-        for kernel in ("dense", "dense32"):
-            got = stream_design_stats(sigma, m, root_seed=7, gamma=gamma, batch_queries=batch_queries, kernel=kernel)
-            assert_stats_equal(got, legacy, f"(kernel={kernel}, n={n}, m={m}, gamma={gamma}, bq={batch_queries})")
+        with kernel(legacy):
+            want = stream_design_stats(sigma, m, root_seed=7, gamma=gamma, batch_queries=batch_queries)
+        got = stream_design_stats(sigma, m, root_seed=7, gamma=gamma, batch_queries=batch_queries)
+        assert_stats_equal(got, want, f"(n={n}, m={m}, gamma={gamma}, bq={batch_queries})")
 
     @pytest.mark.parametrize("noise", [GaussianNoise(1.5), DropoutNoise(0.2)])
     def test_noisy(self, noise):
         sigma = random_signal(90, 11, np.random.default_rng(1))
-        legacy = stream_design_stats(sigma, 41, root_seed=3, batch_queries=8, noise=noise, kernel="legacy")
-        for kernel in ("dense", "dense32"):
-            got = stream_design_stats(sigma, 41, root_seed=3, batch_queries=8, noise=noise, kernel=kernel)
-            assert_stats_equal(got, legacy, f"(kernel={kernel}, {noise!r})")
+        with kernel(legacy):
+            want = stream_design_stats(sigma, 41, root_seed=3, batch_queries=8, noise=noise)
+        got = stream_design_stats(sigma, 41, root_seed=3, batch_queries=8, noise=noise)
+        assert_stats_equal(got, want, f"({noise!r})")
 
-    @pytest.mark.parametrize("kernel", list(ALL_KERNELS))
+    @pytest.mark.parametrize("kernel_name", ["dense", "legacy"])
     @pytest.mark.parametrize("noise", [None, GaussianNoise(1.0)])
-    def test_worker_count_invariance(self, kernel, noise):
-        """workers ∈ {1, 2} never changes output, whatever the kernel."""
+    def test_worker_count_invariance(self, kernel_name, noise):
+        """workers ∈ {1, 2} never changes output, on the kernel or the oracle;
+        and the forked dense run matches the serial oracle."""
         sigma = random_signal(80, 9, np.random.default_rng(2))
-        serial = stream_design_stats(sigma, 33, root_seed=5, batch_queries=8, noise=noise, kernel=kernel)
-        with SharedMemBackend(2, kernel=kernel) as backend:
-            forked = stream_design_stats(sigma, 33, root_seed=5, batch_queries=8, noise=noise, backend=backend)
-        assert_stats_equal(serial, forked, f"(kernel={kernel}, noise={noise!r})")
-
-    def test_backend_kernel_field_is_honoured(self):
-        """An explicit kernel= argument beats the backend's field."""
-        sigma = random_signal(60, 7, np.random.default_rng(3))
-        via_backend = stream_design_stats(sigma, 21, root_seed=1, backend=SerialBackend(kernel="legacy"))
-        explicit = stream_design_stats(sigma, 21, root_seed=1, backend=SerialBackend(kernel="legacy"), kernel="dense")
-        assert_stats_equal(via_backend, explicit)
+        with kernel(legacy):
+            oracle = stream_design_stats(sigma, 33, root_seed=5, batch_queries=8, noise=noise)
+        with kernel(KERNELS[kernel_name]):
+            serial = stream_design_stats(sigma, 33, root_seed=5, batch_queries=8, noise=noise)
+            with SharedMemBackend(2) as backend:
+                forked = stream_design_stats(sigma, 33, root_seed=5, batch_queries=8, noise=noise, backend=backend)
+        assert_stats_equal(serial, forked, f"(kernel={kernel_name}, noise={noise!r})")
+        assert_stats_equal(forked, oracle, f"(kernel={kernel_name}, noise={noise!r}, vs oracle)")
 
     def test_reuses_workspace_across_batches(self):
         """The dense stream loop reuses one scratch block per loop."""
-        from repro.kernels import dense
-
         ws = dense.make_stream_workspace()
         block_a = ws.block(4, 50)
         assert block_a.base is ws.block(4, 50).base  # same backing buffer
@@ -128,7 +143,7 @@ class TestStreamParity:
 
 
 class TestMaterialisedParity:
-    """PoolingDesign.stats / psi / dstar / query_results across kernels."""
+    """PoolingDesign.stats / psi / dstar / query_results: dense ↔ legacy."""
 
     @pytest.fixture
     def regular(self):
@@ -141,64 +156,67 @@ class TestMaterialisedParity:
         pools = [[0, 1, 2, 2, 5], [3], [], [6, 6, 6], [0, 5, 1], list(range(7))]
         return PoolingDesign.from_pools(7, pools)
 
-    @pytest.mark.parametrize("kernel", ["dense", "dense32"])
+    @staticmethod
+    def _fresh(design):
+        """The same edges with empty caches, so each kernel computes from scratch."""
+        return PoolingDesign(design.n, design.entries, design.indptr)
+
     @pytest.mark.parametrize("B", [1, 5])
-    def test_regular_stats(self, regular, B, kernel):
+    def test_regular_stats(self, regular, B):
         sigmas = np.stack([random_signal(101, 9, np.random.default_rng(i)) for i in range(B)])
-        fresh = PoolingDesign(regular.n, regular.entries, regular.indptr)  # isolate caches
-        got = regular.stats(sigmas, kernel=kernel)
-        legacy = fresh.stats(sigmas, kernel="legacy")
-        assert_stats_equal(got, legacy, f"(kernel={kernel}, B={B})")
+        got = regular.stats(sigmas)
+        with kernel(legacy):
+            want = self._fresh(regular).stats(sigmas)
+        assert_stats_equal(got, want, f"(B={B})")
 
-    @pytest.mark.parametrize("kernel", ["dense", "dense32"])
-    def test_single_signal_stats(self, regular, kernel):
+    def test_single_signal_stats(self, regular):
         sigma = random_signal(101, 9, np.random.default_rng(0))
-        fresh = PoolingDesign(regular.n, regular.entries, regular.indptr)
-        assert_stats_equal(regular.stats(sigma, kernel=kernel), fresh.stats(sigma, kernel="legacy"))
+        with kernel(legacy):
+            want = self._fresh(regular).stats(sigma)
+        assert_stats_equal(regular.stats(sigma), want)
 
-    @pytest.mark.parametrize("kernel", ["dense", "dense32"])
-    def test_ragged_from_pools(self, ragged, kernel):
-        fresh = PoolingDesign(ragged.n, ragged.entries, ragged.indptr)
+    def test_ragged_from_pools(self, ragged):
+        oracle = self._fresh(ragged)
         y = np.array([3, 1, 0, 2, 4, 7], dtype=np.int64)
-        assert np.array_equal(ragged.psi(y, kernel=kernel), fresh.psi(y, kernel="legacy"))
-        assert np.array_equal(ragged.dstar(kernel=kernel), fresh.dstar(kernel="legacy"))
         yB = np.stack([y, 2 * y, np.zeros(6, dtype=np.int64)])
-        assert np.array_equal(ragged.psi(yB, kernel=kernel), fresh.psi(yB, kernel="legacy"))
         sigmas = np.stack([np.array([1, 0, 1, 0, 0, 1, 1], dtype=np.int8)] * 3)
-        assert np.array_equal(
-            ragged.query_results(sigmas, kernel=kernel), fresh.query_results(sigmas, kernel="legacy")
-        )
+        with kernel(legacy):
+            want = (oracle.psi(y), oracle.dstar(), oracle.psi(yB), oracle.query_results(sigmas))
+        got = (ragged.psi(y), ragged.dstar(), ragged.psi(yB), ragged.query_results(sigmas))
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
 
     def test_batched_query_results_match_single(self, regular):
         sigmas = np.stack([random_signal(101, 9, np.random.default_rng(i)) for i in range(4)])
-        batched = regular.query_results(sigmas, kernel="dense")
+        batched = regular.query_results(sigmas)
         for b in range(4):
             assert np.array_equal(batched[b], regular.query_results(sigmas[b]))
 
     def test_fig1_example_both_kernels(self):
         design, sigma = PoolingDesign.fig1_example()
         expected = np.array([2, 2, 3, 1, 1])
-        for kernel in kernels.available_kernels():
+        for name in KERNELS:
             fresh, _ = PoolingDesign.fig1_example()
-            y = fresh.query_results(np.stack([sigma]), kernel=kernel)
-            assert np.array_equal(y, expected[None, :])
+            with kernel(KERNELS[name]):
+                y = fresh.query_results(np.stack([sigma]))
+            assert np.array_equal(y, expected[None, :]), name
         assert np.array_equal(design.query_results(sigma), expected)
 
     def test_psi_exact_beyond_float53(self, ragged):
         """Integer accumulation: Ψ must be exact where float64 would round."""
         big = 2**53 + 1  # not representable in float64
         y = np.full(ragged.m, big, dtype=np.int64)
-        for kernel in kernels.available_kernels():
-            fresh = PoolingDesign(ragged.n, ragged.entries, ragged.indptr)
-            psi = fresh.psi(y, kernel=kernel)
+        for name in KERNELS:
+            with kernel(KERNELS[name]):
+                psi = self._fresh(ragged).psi(y)
             # Entry 4 sits in exactly one query, so Ψ_4 = y of that query.
-            assert psi[4] == big, f"kernel={kernel} rounded Ψ through float64"
+            assert psi[4] == big, f"kernel={name} rounded Ψ through float64"
 
     def test_dstar_cache_is_shared_and_consistent(self, regular):
-        d1 = regular.dstar(kernel="dense")
-        assert regular.dstar(kernel="legacy") is d1  # cached, kernel-agnostic
-        fresh = PoolingDesign(regular.n, regular.entries, regular.indptr)
-        assert np.array_equal(fresh.dstar(kernel="legacy"), d1)
+        d1 = regular.dstar()
+        assert regular.dstar() is d1  # cached
+        with kernel(legacy):
+            assert np.array_equal(self._fresh(regular).dstar(), d1)
 
 
 class TestEndToEndParity:
@@ -206,34 +224,26 @@ class TestEndToEndParity:
         n, m, B = 120, 70, 6
         sigmas = np.stack([random_signal(n, 5, np.random.default_rng(i)) for i in range(B)])
         reports = {}
-        for kernel in kernels.available_kernels():
-            reports[kernel] = reconstruct_batch(
-                n,
-                m,
-                signals_oracle(sigmas),
-                B,
-                rng=np.random.default_rng(9),
-                backend=SerialBackend(kernel=kernel),
-            )
-        for kernel in ("dense32", "legacy"):
-            assert np.array_equal(reports["dense"].sigma_hat, reports[kernel].sigma_hat), kernel
-            assert np.array_equal(reports["dense"].y, reports[kernel].y), kernel
-            assert np.array_equal(reports["dense"].k, reports[kernel].k), kernel
+        for name in KERNELS:
+            with kernel(KERNELS[name]):
+                reports[name] = reconstruct_batch(n, m, signals_oracle(sigmas), B, rng=np.random.default_rng(9))
+        for field in ("sigma_hat", "y", "k"):
+            assert np.array_equal(getattr(reports["dense"], field), getattr(reports["legacy"], field)), field
 
     def test_batched_grid_point_kernels_identical(self):
         from repro.engine.grid import run_batched_point
 
-        a = run_batched_point(90, 60, theta=0.35, trials=5, root_seed=11, kernel="dense")
-        for kernel in ("dense32", "legacy"):
-            b = run_batched_point(90, 60, theta=0.35, trials=5, root_seed=11, kernel=kernel)
-            assert np.array_equal(a.success, b.success), kernel
-            assert np.array_equal(a.overlap, b.overlap), kernel
+        a = run_batched_point(90, 60, theta=0.35, trials=5, root_seed=11)
+        with kernel(legacy):
+            b = run_batched_point(90, 60, theta=0.35, trials=5, root_seed=11)
+        assert np.array_equal(a.success, b.success)
+        assert np.array_equal(a.overlap, b.overlap)
 
 
 class _ShiftNoise:
     """Deterministic test-only channel: shift every count by a constant.
 
-    Lets a test place ``y`` exactly on a precision-tier boundary, which no
+    Lets a test place ``y`` exactly on an exactness boundary, which no
     stochastic library channel can do.
     """
 
@@ -245,150 +255,118 @@ class _ShiftNoise:
 
 
 class TestExactnessBoundaries:
-    """The float32 (2²³) and float64 (2⁵²) guards at their boundaries.
+    """The float64 (2⁵²) guard at its boundary.
 
-    Each case drives ``y`` just below / just above a budget and asserts
+    Each case drives ``y`` just below / just above the budget and asserts
     (a) the expected tier actually ran and (b) the outputs stay
-    bit-identical across all kernels either way.
+    bit-identical to the legacy oracle either way.
     """
 
     N = 6
     EDGES = np.array([[0, 1], [2, 3], [4, 5]], dtype=np.int64)  # each entry in exactly one query
 
-    def _stream_all_kernels(self, shift):
+    def _stream(self, module, shift):
         sigma = np.ones(self.N, dtype=np.int8)
-        out = {}
-        for name in ALL_KERNELS:
-            mod = kernels.dispatch(name)
-            psi = np.zeros(self.N, dtype=np.int64)
-            dstar = np.zeros(self.N, dtype=np.int64)
-            delta = np.zeros(self.N, dtype=np.int64)
-            y = mod.stream_batch(
-                self.EDGES, sigma, self.N, _ShiftNoise(shift), None, psi, dstar, delta, mod.make_stream_workspace()
-            )
-            out[name] = (y, psi, dstar, delta)
-        return out
+        psi = np.zeros(self.N, dtype=np.int64)
+        dstar = np.zeros(self.N, dtype=np.int64)
+        delta = np.zeros(self.N, dtype=np.int64)
+        y = module.stream_batch(
+            self.EDGES, sigma, self.N, _ShiftNoise(shift), None, psi, dstar, delta, module.make_stream_workspace()
+        )
+        return y, psi, dstar, delta
 
     @pytest.mark.parametrize(
         "shift",
         [
-            2**21,  # Σ|y| below 2²³: float32 tier
-            2**23,  # Σ|y| above 2²³, below 2⁵²: float64 tier
+            2**21,  # small counts: float64 GEMM tier
+            2**23,
+            2**50,  # Σ|y| just under 2⁵²: still the float64 tier
             2**52,  # Σ|y| above 2⁵²: exact integer tier
         ],
     )
     def test_stream_bit_identity_across_tiers(self, shift):
-        results = self._stream_all_kernels(shift)
-        y_ref, psi_ref, dstar_ref, delta_ref = results["legacy"]
+        y_ref, psi_ref, dstar_ref, delta_ref = self._stream(legacy, shift)
         assert np.array_equal(psi_ref, y_ref[[0, 0, 1, 1, 2, 2]])  # one query per entry
-        for name in ("dense", "dense32"):
-            y, psi, dstar, delta = results[name]
-            assert np.array_equal(y, y_ref), f"y differs (kernel={name}, shift=2^{shift.bit_length() - 1})"
-            assert np.array_equal(psi, psi_ref), f"psi differs (kernel={name}, shift=2^{shift.bit_length() - 1})"
-            assert np.array_equal(dstar, dstar_ref) and np.array_equal(delta, delta_ref), name
+        y, psi, dstar, delta = self._stream(dense, shift)
+        assert np.array_equal(y, y_ref), f"y differs (shift=2^{shift.bit_length() - 1})"
+        assert np.array_equal(psi, psi_ref), f"psi differs (shift=2^{shift.bit_length() - 1})"
+        assert np.array_equal(dstar, dstar_ref) and np.array_equal(delta, delta_ref)
 
     def test_stream_tier_selection(self, monkeypatch):
-        """The dense32 guard picks exactly the promised workspace per batch."""
-        from repro.kernels import dense, dense32
-
+        """The stream guard picks exactly the promised tier per batch."""
         tiers = []
         real = dense.fold_stream
 
         def spy(edges, y, n, psi, dstar, delta, workspace, exact):
-            tiers.append((str(workspace.dtype), exact))
+            tiers.append(exact)
             return real(edges, y, n, psi, dstar, delta, workspace, exact)
 
         monkeypatch.setattr(dense, "fold_stream", spy)
-        sigma = np.ones(self.N, dtype=np.int8)
-        for shift in (2**21, 2**23, 2**52):
-            z = np.zeros(self.N, dtype=np.int64)
-            dense32.stream_batch(self.EDGES, sigma, self.N, _ShiftNoise(shift), None, z, z.copy(), z.copy())
-        assert tiers == [("float32", True), ("float64", True), ("float64", False)]
+        for shift in (2**21, 2**50, 2**52):
+            self._stream(dense, shift)
+        assert tiers == [True, True, False]
 
     @pytest.mark.parametrize(
         "value, tier",
         [
-            (2**23 - 10, "float32"),  # inside the float32 budget
-            (2**23 + 10, "float64"),  # over it, inside float64's
-            (2**52 + 10, "exact-int"),  # over both: integer matmul
+            (2**23 + 10, "float64"),  # well inside the float64 budget
+            (2**52 - 10, "float64"),  # just under it
+            (2**52 + 10, "exact-int"),  # over it: integer matmul
         ],
     )
     def test_psi_tier_and_value(self, value, tier, monkeypatch):
-        from repro.kernels import dense
-
-        dtypes = []
+        tiers = []
         real = dense.psi_pass
 
-        def spy(design, y, with_dstar, dtype):
-            dtypes.append("exact-int" if dtype is None else str(np.dtype(dtype)))
-            return real(design, y, with_dstar, dtype)
+        def spy(design, y, with_dstar, exact):
+            tiers.append("float64" if exact else "exact-int")
+            return real(design, y, with_dstar, exact)
 
         monkeypatch.setattr(dense, "psi_pass", spy)
         design = PoolingDesign.from_pools(5, [[4], [0, 1], [2, 3]])  # entry 4 in exactly one query
         y = np.array([value, 0, 0], dtype=np.int64)
-        got = design.psi(y, kernel="dense32")
+        got = design.psi(y)
         assert got[4] == value  # Ψ_4 = y of entry 4's only query, bit-exact
-        assert dtypes == [tier]
+        assert tiers == [tier]
         fresh = PoolingDesign(design.n, design.entries, design.indptr)
-        assert np.array_equal(got, fresh.psi(y, kernel="legacy"))
+        assert np.array_equal(got, legacy.materialised_psi(fresh, y[None, :])[0][0])
 
     def test_query_fallback_over_budget(self, monkeypatch):
-        """Shrinking the float32 budget must push queries onto the float64 path."""
-        from repro.kernels import dense, dense32
-
+        """Shrinking the budget must push queries onto the legacy oracle."""
         design = PoolingDesign.sample(40, 9, np.random.default_rng(0))
         sigmas = np.stack([random_signal(40, 5, np.random.default_rng(i)) for i in range(3)])
-        expected = design.query_results(sigmas, kernel="legacy")
-        assert np.array_equal(dense32.query_results_batch(design, sigmas), expected)
+        expected = legacy.query_results_batch(design, sigmas)
+        assert np.array_equal(dense.query_results_batch(design, sigmas), expected)
         called = []
-        real = dense.query_results_batch
-        monkeypatch.setattr(dense, "query_results_batch", lambda d, b: called.append(1) or real(d, b))
-        monkeypatch.setattr(dense32, "_EXACT_LIMIT32", 4.0)
-        assert np.array_equal(dense32.query_results_batch(design, sigmas), expected)
-        assert called, "over-budget query batch did not fall back to the float64 generation"
+        real = legacy.query_results_batch
+        monkeypatch.setattr(legacy, "query_results_batch", lambda d, b: called.append(1) or real(d, b))
+        monkeypatch.setattr(dense, "_EXACT_LIMIT", 4.0)
+        assert np.array_equal(dense.query_results_batch(design, sigmas), expected)
+        assert called, "over-budget query batch did not fall back to the legacy oracle"
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_over_budget_stream_sharedmem(self, workers):
-        """A noise channel blowing the float32 budget: still bit-identical,
-        serial and across a worker pool."""
+        """A channel pushing every batch over the 2⁵² budget: still
+        bit-identical to the oracle, serial and across a worker pool."""
         sigma = random_signal(16, 3, np.random.default_rng(5))
-        noise = GaussianNoise(5e6)  # |y| ~ 5·10⁶ ≫ 2²³/m: every batch over budget
-        legacy = stream_design_stats(sigma, 33, root_seed=2, batch_queries=8, noise=noise, kernel="legacy")
-        assert float(np.abs(legacy.y).sum()) > 2**23  # the guard genuinely trips
-        with SharedMemBackend(workers, kernel="dense32") as backend:
-            got = stream_design_stats(sigma, 33, root_seed=2, batch_queries=8, noise=noise, backend=backend)
-        assert_stats_equal(got, legacy, f"(workers={workers})")
+        noise = _ShiftNoise(2**49)  # 8 queries per batch: Σ|y| > 2⁵² in every batch
+        with kernel(legacy):
+            want = stream_design_stats(sigma, 24, root_seed=2, batch_queries=8, noise=noise)
+        assert all(float(np.abs(want.y[lo : lo + 8]).sum()) > 2**52 for lo in (0, 8, 16))  # the guard trips
+        assert int(want.psi.max()) < 2**53  # inside the oracle's float64-weighted stream sums
+        with SharedMemBackend(workers) as backend:
+            got = stream_design_stats(sigma, 24, root_seed=2, batch_queries=8, noise=noise, backend=backend)
+        assert_stats_equal(got, want, f"(workers={workers})")
 
 
 class TestThreadGovernor:
     """repro.kernels.threads: detection-tolerant governor behaviour."""
-
-    def test_resolve_blas_threads(self, monkeypatch):
-        monkeypatch.delenv(threads.BLAS_THREADS_ENV, raising=False)
-        assert threads.resolve_blas_threads(None) is None
-        assert threads.resolve_blas_threads(3) == 3
-        monkeypatch.setenv(threads.BLAS_THREADS_ENV, "2")
-        assert threads.resolve_blas_threads(None) == 2
-        assert threads.resolve_blas_threads(5) == 5  # argument beats env
-        with pytest.raises(ValueError):
-            threads.resolve_blas_threads(0)
-        monkeypatch.setenv(threads.BLAS_THREADS_ENV, "zero")
-        with pytest.raises(ValueError):
-            threads.resolve_blas_threads(None)
 
     def test_worker_thread_budget(self):
         assert threads.worker_thread_budget(2, cores=8) == 4
         assert threads.worker_thread_budget(3, cores=8) == 2
         assert threads.worker_thread_budget(16, cores=8) == 1  # never zero
         assert threads.worker_thread_budget(1, cores=8) == 8
-
-    def test_worker_core_slices(self):
-        assert threads.worker_core_slices(2, cores=8) == [(0, 1, 2, 3), (4, 5, 6, 7)]
-        slices = threads.worker_core_slices(3, cores=8)
-        assert sorted(c for s in slices for c in s) == list(range(8))  # full coverage, no overlap
-        assert all(s for s in slices)
-        # More workers than cores: round-robin, never an empty affinity set.
-        assert threads.worker_core_slices(3, cores=1) == [(0,), (0,), (0,)]
 
     def test_blas_thread_limit_scoped(self):
         before = threads.get_blas_threads()
@@ -406,110 +384,21 @@ class TestThreadGovernor:
         assert isinstance(prov["blas_vendor"], str)
         assert prov["numpy"] == np.__version__
 
-    def test_pin_workers_default(self, monkeypatch):
-        monkeypatch.delenv(threads.PIN_WORKERS_ENV, raising=False)
-        assert threads.pin_workers_default() is False
-        for value in ("1", "true", "YES", "on"):
-            monkeypatch.setenv(threads.PIN_WORKERS_ENV, value)
-            assert threads.pin_workers_default() is True
-        monkeypatch.setenv(threads.PIN_WORKERS_ENV, "0")
-        assert threads.pin_workers_default() is False
-
-    def test_backend_governance_defaults(self, monkeypatch):
-        monkeypatch.delenv(threads.BLAS_THREADS_ENV, raising=False)
-        monkeypatch.delenv(threads.PIN_WORKERS_ENV, raising=False)
-        assert SerialBackend().blas_threads is None
-        assert SerialBackend(blas_threads=2).blas_threads == 2
-        multi = SharedMemBackend(4)
-        assert multi.blas_threads == threads.worker_thread_budget(4)  # oversubscription guard
-        assert SharedMemBackend(4, blas_threads=3).blas_threads == 3
-        assert multi.pin_workers is False
-        monkeypatch.setenv(threads.BLAS_THREADS_ENV, "2")
-        assert SerialBackend().blas_threads == 2
-        assert SharedMemBackend(4).blas_threads == 2
+    def test_backend_governance_defaults(self):
+        """Owned multi-worker pools get the cores // W cap; one worker gets none."""
+        assert SharedMemBackend(4).blas_threads == threads.worker_thread_budget(4)
+        assert SharedMemBackend(1).blas_threads is None
+        with SharedMemBackend(2) as backend:
+            assert backend.pool.blas_threads == threads.worker_thread_budget(2)
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_capped_pool_end_to_end(self, workers):
-        """A worker pool under the thread cap + pinning still bit-matches serial."""
+        """A worker pool under a BLAS thread cap still bit-matches serial."""
         sigma = random_signal(60, 7, np.random.default_rng(6))
-        serial = stream_design_stats(sigma, 21, root_seed=9, batch_queries=8, kernel="dense32")
-        with SharedMemBackend(workers, kernel="dense32", blas_threads=1, pin_workers=True) as backend:
+        serial = stream_design_stats(sigma, 21, root_seed=9, batch_queries=8)
+        with WorkerPool(workers, blas_threads=1) as pool, SharedMemBackend(pool=pool) as backend:
             got = stream_design_stats(sigma, 21, root_seed=9, batch_queries=8, backend=backend)
-        assert_stats_equal(got, serial, f"(workers={workers}, capped+pinned)")
-
-
-class TestTuner:
-    """repro.kernels.tune: probing, persistence, and dispatch precedence."""
-
-    @pytest.fixture(autouse=True)
-    def _clean_tuning_state(self, monkeypatch):
-        monkeypatch.delenv(tune.TUNING_ENV, raising=False)
-        monkeypatch.delenv(kernels.KERNEL_ENV, raising=False)
-        tune.clear_tuning()
-        yield
-        tune.clear_tuning()
-
-    def _tiny(self):
-        return tune.tune_kernels(64, 8, 2, thread_candidates=(1,), repeats=1)
-
-    def test_tune_kernels_probes_every_cell(self):
-        result = self._tiny()
-        assert result.kernel in kernels.available_kernels()
-        assert result.blas_threads == 1
-        seen = {(t.op, t.kernel) for t in result.timings}
-        assert seen == {(op, k) for op in ("stream", "psi", "queries") for k in kernels.available_kernels()}
-        assert all(t.seconds >= 0 for t in result.timings)
-        assert result.best("psi").seconds <= max(t.seconds for t in result.timings)
-
-    def test_save_load_round_trip(self, tmp_path):
-        result = self._tiny()
-        path = tune.save_tuning(result, tmp_path / "tuning.json")
-        loaded = tune.load_tuning(path)
-        assert loaded.kernel == result.kernel
-        assert loaded.blas_threads == result.blas_threads
-        assert loaded.to_payload() == result.to_payload()
-
-    def test_load_rejects_corrupt_and_unknown(self, tmp_path):
-        bad = tmp_path / "tuning.json"
-        bad.write_text("{not json")
-        with pytest.raises(ValueError, match="unreadable"):
-            tune.load_tuning(bad)
-        bad.write_text('{"format_version": 1, "kernel": "turbo", "blas_threads": 1, "shape": {}, "timings": []}')
-        with pytest.raises(ValueError, match="unknown kernel"):
-            tune.load_tuning(bad)
-        with pytest.raises(ValueError, match="unreadable"):
-            tune.load_tuning(tmp_path / "missing.json")
-
-    def test_applied_tuning_feeds_dispatch(self):
-        result = self._tiny()
-        tune.apply_tuning(result)
-        assert kernels.resolve_kernel(None) == result.kernel
-        assert tune.tuned_blas_threads() == 1
-        # Explicit choices still win over tuning.
-        assert kernels.resolve_kernel("legacy") == "legacy"
-        tune.clear_tuning()
-        assert kernels.resolve_kernel(None) == kernels.DEFAULT_KERNEL
-
-    def test_env_kernel_beats_tuning(self, monkeypatch):
-        result = self._tiny()
-        tune.apply_tuning(result)
-        monkeypatch.setenv(kernels.KERNEL_ENV, "legacy")
-        assert kernels.resolve_kernel(None) == "legacy"
-
-    def test_env_tuning_file_loaded_lazily(self, tmp_path, monkeypatch):
-        result = self._tiny()
-        path = tune.save_tuning(result, tmp_path / "tuning.json")
-        monkeypatch.setenv(tune.TUNING_ENV, str(path))
-        tune.clear_tuning()  # re-arm the lazy load
-        assert kernels.resolve_kernel(None) == result.kernel
-
-    def test_default_tuning_path(self, tmp_path, monkeypatch):
-        from repro.designs.store import DESIGN_STORE_ENV
-
-        monkeypatch.delenv(DESIGN_STORE_ENV, raising=False)
-        assert tune.default_tuning_path() is None
-        monkeypatch.setenv(DESIGN_STORE_ENV, str(tmp_path))
-        assert tune.default_tuning_path() == tmp_path / tune.TUNING_FILE_NAME
+        assert_stats_equal(got, serial, f"(workers={workers}, capped)")
 
 
 class TestTopKFastPath:

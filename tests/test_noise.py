@@ -298,15 +298,9 @@ class TestThresholdDecode:
 
 class TestNoisyTrialHooks:
     def test_legacy_import_path_still_works(self):
-        import warnings
-
-        with warnings.catch_warnings():
-            # The shim is deprecated (its own suite asserts the warning);
-            # here we only care that the re-exports stay the same objects.
-            warnings.simplefilter("ignore", DeprecationWarning)
-            from repro.extensions.noise import DropoutNoise as D
-            from repro.extensions.noise import GaussianNoise as G
-            from repro.extensions.noise import run_noisy_mn_trial as legacy
+        from repro.noise import DropoutNoise as D
+        from repro.noise import GaussianNoise as G
+        from repro.noise.trial import run_noisy_mn_trial as legacy
 
         assert G is GaussianNoise and D is DropoutNoise and legacy is run_noisy_mn_trial
 

@@ -73,15 +73,11 @@ class TestInlineMode:
                 pool.map(_boom, [13])
 
 
-def _thread_policy(payload, cache):
-    """What the worker actually runs under: (affinity set, BLAS threads)."""
+def _blas_threads(payload, cache):
+    """The BLAS thread count the worker actually runs under."""
     from repro.kernels.threads import detect_blas, get_blas_threads
 
-    try:
-        cores = sorted(os.sched_getaffinity(0))
-    except AttributeError:  # pragma: no cover - non-Linux
-        cores = None
-    return cores, get_blas_threads() if detect_blas() is not None else None
+    return get_blas_threads() if detect_blas() is not None else None
 
 
 class TestThreadGovernance:
@@ -90,23 +86,18 @@ class TestThreadGovernance:
 
         before = get_blas_threads()
         with WorkerPool(1, blas_threads=1) as pool:
-            (_, inside), = pool.map(_thread_policy, [None])
+            (inside,) = pool.map(_blas_threads, [None])
         if detect_blas() is not None:
             assert inside == 1
         assert get_blas_threads() == before  # parent's setting restored
 
-    def test_workers_apply_cap_and_pinning(self):
-        from repro.kernels.threads import detect_blas, worker_core_slices
+    def test_workers_apply_cap(self):
+        from repro.kernels.threads import detect_blas
 
-        slices = worker_core_slices(2)
-        with WorkerPool(2, blas_threads=1, pin_cores=slices) as pool:
-            policies = pool.map(_thread_policy, [0, 1, 2, 3])
-        allowed = {s for s in slices}
-        for cores, blas in policies:
-            if cores is not None:
-                assert tuple(cores) in allowed
-            if detect_blas() is not None:
-                assert blas == 1
+        with WorkerPool(2, blas_threads=1) as pool:
+            policies = pool.map(_blas_threads, [0, 1, 2, 3])
+        if detect_blas() is not None:
+            assert policies == [1, 1, 1, 1]
 
     def test_uncapped_pool_unchanged(self):
         with WorkerPool(2) as pool:
