@@ -34,6 +34,7 @@ import numpy as np
 
 from repro.core.design import DesignStats, PoolingDesign, default_gamma
 from repro.kernels.dense import _EXACT_LIMIT
+from repro.kernels.threads import get_blas_threads
 from repro.parallel.partition import chunk_count
 from repro.rng.streams import StreamFamily, batch_generator
 from repro.util.validation import check_nonneg_int, check_positive_int
@@ -58,16 +59,45 @@ __all__ = [
 BLOCK_RESIDENCY_LIMIT = 256 * 1024 * 1024
 
 #: Float32 sibling of :data:`_EXACT_LIMIT`: 2²³ keeps a 2× margin under
-#: float32's 2²⁴ exact-integer ceiling.  A design
-#: whose *total draw count* sits below it gets a float32 Ψ block — every
-#: clean result is bounded by its pool size, so block-GEMM sums are provably
-#: exact; adversarial ``y`` beyond the budget is caught per call and routed
-#: through the kernel fallback.
+#: float32's 2²⁴ exact-integer ceiling.  Every ``Ψ`` entry of a row, and
+#: every partial sum a product forms on the way to it, is an integer of
+#: magnitude at most the row's ``Σ|y|`` (the block is 0/1), so a row under
+#: this budget is exact through the float32 block in any summation order.
+#: Clean results sit far below it (``Σ|y|`` reaches ``m·Γ`` only for a
+#: signal of all ones); :meth:`CompiledDesign.psi` checks it per row, per
+#: call.
 _EXACT_LIMIT32 = float(2**23)
 
-#: Block dtypes :meth:`CompiledDesign.adopt_block` accepts: the float32 and
-#: float64 ``Ψ`` block precisions.
-_BLOCK_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
+#: The ``Ψ`` block's precision: float32 for every design.  Half the bytes
+#: of float64 in residency, shared memory, the store and the fleet, and
+#: half the memory traffic of the decode's product.
+_BLOCK_DTYPE = np.dtype(np.float32)
+
+#: Block dtypes :meth:`CompiledDesign.adopt_block` accepts: float32, and
+#: the float64 blocks older store entries and shared segments hold.
+_BLOCK_DTYPES = (_BLOCK_DTYPE, np.dtype(np.float64))
+
+#: Batch sizes :meth:`CompiledDesign.psi` runs as a product over row
+#: panels rather than one GEMM, when BLAS runs one thread.  Against a
+#: block far beyond the L2 cache, single-threaded OpenBLAS's GEMM for a
+#: few rows costs two to three times the one-row GEMV, while row panels
+#: bring such a batch near the GEMV's cost.  One row is fastest as a GEMV;
+#: panels still win by ~1.2× at 12 rows and lose at 16.  With more BLAS
+#: threads the GEMM runs in parallel and the (serial) panels lose from
+#: about 8 rows (``benchmarks/bench_design_cache.py``, ``TestSmallBatchPsi``).
+_PANEL_MIN_ROWS = 2
+_PANEL_MAX_ROWS = 12
+
+#: Bytes of block per row panel: a slab that stays in L2 (2 MiB per core
+#: on the benchmark host) while every batch row is multiplied against it.
+_PANEL_BYTES = 1 << 20
+
+#: Multiply-adds per panel product, at most.  OpenBLAS runs products up to
+#: 10⁶ of them through its small-matrix kernel, which reads the panel in
+#: place; a larger product first copies the panel into a packed buffer,
+#: and at a few rows that copy costs more than the product.  So panels get
+#: shorter as the batch grows.
+_PANEL_WORK = 10**6
 
 #: ``trial_key`` scheme tags for keys whose designs are *sampled* from a
 #: keyed generator (grid points) or *content-addressed* (hand-built designs)
@@ -294,15 +324,13 @@ class CompiledDesign:
 
     @property
     def block_dtype(self) -> np.dtype:
-        """Precision of the dense ``Ψ`` block, decided once from degree bounds.
+        """Precision of the dense ``Ψ`` block a compile builds: float32.
 
-        Float32 when the design's total draw count fits the 2²³ budget
-        (then every clean result — and so every block-GEMM running sum —
-        is exactly representable), float64 otherwise.  Deterministic in
-        the design, so publishers and attachers always agree; recorded in
-        store/npz metadata as provenance.
+        Exactness is a property of each call's rows, not of the design:
+        :meth:`psi` checks every row's ``Σ|y|`` against the budget of the
+        block actually resident.
         """
-        return _BLOCK_DTYPES[0] if float(self.design.entries.size) < _EXACT_LIMIT32 else _BLOCK_DTYPES[1]
+        return _BLOCK_DTYPE
 
     @property
     def block_bytes(self) -> int:
@@ -333,8 +361,8 @@ class CompiledDesign:
     def incidence_block(self) -> "np.ndarray | None":
         """The ``(m, n)`` distinct-incidence block, materialised once.
 
-        Built in :attr:`block_dtype` (float32 for budget-eligible designs —
-        half the residency, shm and mmap footprint).  ``None`` when the
+        Built in :attr:`block_dtype` (float32: half the residency, shm and
+        mmap footprint of float64).  ``None`` when the
         block exceeds :data:`BLOCK_RESIDENCY_LIMIT` — the ``psi`` path then
         recomputes chunked scatters per call instead.
         """
@@ -388,10 +416,10 @@ class CompiledDesign:
         The shared-memory layer (:mod:`repro.designs.sharing`) publishes
         the parent's ``(m, n)`` incidence block once; workers adopt the
         attached segment here so they never rebuild (or privately hold)
-        up to 256MB per process.  Either GEMM precision is accepted —
+        up to 256MB per process.  Float64 is accepted besides float32 —
         0/1 incidence is exact in both, and :meth:`psi` keys its budget
-        off the adopted dtype — so artifacts published before a design
-        became float32-eligible (or vice versa) remain attachable.  The
+        off the adopted dtype — so the float64 blocks that older store
+        entries and shared segments hold remain attachable.  The
         block's content is defined entirely by the design, so adopting a
         published block can never change a decode — only skip its
         materialisation.
@@ -407,24 +435,46 @@ class CompiledDesign:
             self._block = block
 
     def psi(self, y: np.ndarray) -> np.ndarray:
-        """``Ψ`` for ``(m,)`` or ``(B, m)`` results — one GEMM against the block.
+        """``Ψ`` for ``(m,)`` or ``(B, m)`` results, from the resident block.
 
-        Bit-identical to :meth:`PoolingDesign.psi`: all quantities are
-        integer-exact, guarded by the exactness budget of the *resident
-        block's* dtype (2²³ for float32, 2⁵² for float64) with a fallback
-        to the kernel path, so accumulation order cannot matter.  Small batches share GEMM rows (see :func:`_packed_psi`).
+        Bit-identical to :meth:`PoolingDesign.psi`.  Each row takes the
+        cheapest route that is provably exact for its ``Σ|y|``:
+
+        * under the resident block's budget (2²³ for float32, 2⁵² for
+          float64): a product in the block's dtype — one GEMM, or row
+          panels for a batch of :data:`_PANEL_MIN_ROWS` to
+          :data:`_PANEL_MAX_ROWS` rows under single-threaded BLAS
+          (:func:`_block_product`);
+        * under 2⁵² on a float32 block: the row-panel product with every
+          panel upcast to float64;
+        * at or over 2⁵², or with no resident block: the kernel path.
+
+        Every partial sum is an integer bounded by its row's ``Σ|y|``, so
+        summation order cannot matter.  The budgets are read from the
+        module globals at call time.
         """
         y = np.asarray(y, dtype=np.int64)
         y2 = y[None, :] if y.ndim == 1 else y
         if y2.ndim != 2 or y2.shape[1] != self.m or y2.shape[0] < 1:
             raise ValueError(f"y must have shape (m={self.m},) or (B, m={self.m})")
         block = self.incidence_block()
-        budget = _EXACT_LIMIT if block is None or block.dtype == np.float64 else _EXACT_LIMIT32
-        bounds = np.abs(y2).sum(axis=1, dtype=np.float64)
-        if block is None or (self.m and float(bounds.max()) >= budget):
+        if block is None:
             psi = self.design.psi(y2)
         else:
-            psi = _packed_psi(y2, float(bounds.max()), block, budget)
+            bounds = np.abs(y2).sum(axis=1, dtype=np.float64)
+            native = bounds < (_EXACT_LIMIT32 if block.dtype == np.float32 else _EXACT_LIMIT)
+            if native.all():
+                psi = _block_product(y2, block, block.dtype)
+            else:
+                wide = ~native & (bounds < _EXACT_LIMIT)
+                over = ~(native | wide)
+                psi = np.empty((y2.shape[0], self.n), dtype=np.int64)
+                if native.any():
+                    psi[native] = _block_product(y2[native], block, block.dtype)
+                if wide.any():
+                    psi[wide] = _block_product(y2[wide], block, np.dtype(np.float64))
+                if over.any():
+                    psi[over] = self.design.psi(y2[over])
         return psi if y.ndim == 2 else psi[0]
 
     def query_results(self, sigma: np.ndarray) -> np.ndarray:
@@ -453,40 +503,32 @@ class CompiledDesign:
         )
 
 
-def _packed_psi(y: np.ndarray, bound: float, block: np.ndarray, budget: float) -> np.ndarray:
-    """``y @ block`` in int64, with several rows of ``y`` sharing one GEMM row.
+def _panel_batch(rows: int) -> bool:
+    """Whether a batch of ``rows`` rows in the block's dtype runs over row panels."""
+    return _PANEL_MIN_ROWS <= rows <= _PANEL_MAX_ROWS and get_blas_threads() == 1
 
-    Every ``Ψ`` entry of a row is an integer of magnitude at most
-    ``bound`` (the largest row ``Σ|y|``; the block is 0/1), so ``per``
-    rows fit one product row as signed base-``2^shift`` digits for as
-    long as the packed sums stay inside the exactness ``budget`` — the
-    digits then come back exactly.  At serve sizes (``m·n`` far beyond
-    the LLC) a one-row product is a memory-bound GEMV while two or three
-    rows go through a GEMM costing ~1.5× as much, so packing makes a
-    batch of up to ``per`` rows cost one GEMV: a decode's cost no longer
-    jumps with whether a second request happened to share its batch.
+
+def _block_product(y: np.ndarray, block: np.ndarray, dtype: np.dtype) -> np.ndarray:
+    """``y @ block`` in ``dtype``, returned as int64; exact when ``dtype`` holds every ``Σ|y|``.
+
+    One product when ``dtype`` is the block's and :func:`_panel_batch`
+    declines the batch.  Otherwise the product runs over row panels,
+    ``y[:, r:r+h] @ block[r:r+h]`` accumulated into a ``(B, n)`` buffer
+    of ``dtype``, with ``h`` bounded by :data:`_PANEL_BYTES` and
+    :data:`_PANEL_WORK`.  Each panel is upcast when ``dtype`` is wider
+    than the block, so a float32 block serves float64-budget rows without
+    a full-size float64 copy.
     """
     rows = y.shape[0]
-    shift = int(bound).bit_length() + 1  # every |Ψ| < 2**(shift - 1)
-    per = 1
-    while per < rows and max(bound, 1.0) * sum(2.0 ** (shift * r) for r in range(per + 1)) < budget:
-        per += 1
-    if per == 1:
-        return (y.astype(block.dtype) @ block).astype(np.int64)
-    groups = -(-rows // per)
-    packed = np.zeros((groups, y.shape[1]), dtype=np.int64)
-    for r in range(per):
-        part = y[r::per]
-        packed[: len(part)] += part * (1 << (shift * r))
-    acc = (packed.astype(block.dtype) @ block).astype(np.int64)
-    psi = np.empty((rows, block.shape[1]), dtype=np.int64)
-    base, half = 1 << shift, 1 << (shift - 1)
-    for r in range(per):
-        digit = (acc + half) % base - half
-        acc = (acc - digit) >> shift
-        target = psi[r::per]
-        target[...] = digit[: len(target)]
-    return psi
+    yd = y.astype(dtype)
+    if dtype == block.dtype and not _panel_batch(rows):
+        return (yd @ block).astype(np.int64)
+    m, n = block.shape
+    step = max(1, min(_PANEL_BYTES // max(1, n * block.itemsize), _PANEL_WORK // max(1, rows * n)))
+    acc = np.zeros((rows, n), dtype=dtype)
+    for lo in range(0, m, step):
+        acc += yd[:, lo : lo + step] @ block[lo : lo + step].astype(dtype, copy=False)
+    return acc.astype(np.int64)
 
 
 def _stream_entries(key: DesignKey) -> np.ndarray:

@@ -543,10 +543,6 @@ class DesignStore:
                 "m": compiled.m,
                 "nbytes": nbytes,
                 "block": with_block,
-                # Provenance: the persisted Ψ block's precision (float32 for
-                # budget-eligible designs — see CompiledDesign.block_dtype).
-                # Attachers adopt whatever dtype block.npy actually holds.
-                "block_dtype": str(compiled.block_dtype) if with_block else None,
                 # Integrity manifest: every payload file's SHA-256, checked
                 # at attach so bit rot and torn writes read as misses (the
                 # entry is quarantined and recompiled), never as garbage.

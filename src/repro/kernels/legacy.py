@@ -6,12 +6,12 @@ row.  Kept verbatim as the bit-exact reference oracle the dense kernels
 are tested against (and fall back to beyond their exactness guard); no
 runtime setting selects it.
 
-One deliberate change from the historical code: the materialised ``Ψ``
-accumulation no longer round-trips through ``np.bincount``'s float64
-weights.  Pairs are grouped entry-major once (cached on the design) and
-summed with an integer ``np.add.reduceat``, so ``Ψ`` stays exact for
-results beyond 2⁵³ in principle and no silent float casts remain on the
-materialised path.  For every integer-valued input the outputs are
+One deliberate change from the historical code: ``Ψ`` no longer
+round-trips through ``np.bincount``'s float64 weights.  The streaming
+path sums each batch with an integer ``np.add.at``; the materialised path
+groups pairs entry-major once (cached on the design) and sums with an
+integer ``np.add.reduceat``.  So ``Ψ`` stays exact for results beyond
+2⁵³ and no silent float casts remain.  Below 2⁵³ the outputs are
 bit-identical to the historical float path.
 """
 
@@ -64,7 +64,7 @@ def stream_batch(
     first[:, 1:] = sorted_edges[:, 1:] != sorted_edges[:, :-1]
     row_of = np.nonzero(first)[0]
     distinct_entries = sorted_edges[first]
-    psi += np.bincount(distinct_entries, weights=y[row_of].astype(np.float64), minlength=n).astype(np.int64)
+    np.add.at(psi, distinct_entries, y[row_of])
     dstar += np.bincount(distinct_entries, minlength=n)
     delta += np.bincount(edges.ravel(), minlength=n)
     return y

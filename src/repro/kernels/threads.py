@@ -11,9 +11,9 @@ the minimal control surface to stop that, with **no** new dependencies:
   object (OpenBLAS — including SciPy's ``scipy_openblas`` wheels, whose
   symbols carry a vendor prefix and ``64_`` suffix — MKL, BLIS) and bind
   its get/set thread functions through :mod:`ctypes`;
-* **get/set** — :func:`get_blas_threads` / :func:`set_blas_threads`, plus
-  the scoped :func:`blas_thread_limit` an inline (single-worker) pool
-  applies around each map;
+* **get/set** — :func:`get_blas_threads` / :func:`set_blas_threads`
+  (:meth:`~repro.designs.compiled.CompiledDesign.psi` reads the count to
+  pick its small-batch route);
 * **policy** — the ``max(1, cores // W)`` per-worker budget
   (:func:`worker_thread_budget`) that a multi-worker
   :class:`~repro.engine.backend.SharedMemBackend` gives its pool;
@@ -30,9 +30,8 @@ from __future__ import annotations
 
 import ctypes
 import os
-from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -41,7 +40,6 @@ __all__ = [
     "detect_blas",
     "get_blas_threads",
     "set_blas_threads",
-    "blas_thread_limit",
     "worker_thread_budget",
     "cpu_count",
     "machine_provenance",
@@ -159,23 +157,6 @@ def set_blas_threads(threads: int) -> int:
     if control is None:
         return 1
     return control.set_threads(threads)
-
-
-@contextmanager
-def blas_thread_limit(threads: "int | None") -> Iterator[None]:
-    """Scoped BLAS thread cap: set on entry, restore the old count on exit.
-
-    ``None`` (or an undetected pool) makes the context a pure no-op, so
-    call sites can apply a possibly-unset policy unconditionally.
-    """
-    if threads is None or detect_blas() is None:
-        yield
-        return
-    previous = set_blas_threads(threads)
-    try:
-        yield
-    finally:
-        set_blas_threads(previous)
 
 
 def cpu_count() -> int:

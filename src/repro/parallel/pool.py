@@ -182,9 +182,8 @@ class WorkerPool:
 
     ``blas_threads`` caps each worker's BLAS threadpool (applied inside the
     worker via :mod:`repro.kernels.threads` — the cure for ``W × T``
-    oversubscription).  In the inline (``workers == 1``) case the cap is
-    applied scoped around each :meth:`map` call instead, so the parent's
-    pool configuration is restored afterwards.
+    oversubscription).  An inline (``workers == 1``) pool runs in the
+    caller's process and leaves its BLAS configuration alone.
 
     ``max_task_retries`` bounds crash healing: a task whose worker dies is
     re-dispatched to a respawned worker at most this many times before
@@ -258,10 +257,7 @@ class WorkerPool:
         if not payloads:
             return []
         if self.workers == 1:
-            from repro.kernels.threads import blas_thread_limit
-
-            with blas_thread_limit(self.blas_threads):
-                return [fn(p, self._inline_cache) for p in payloads]
+            return [fn(p, self._inline_cache) for p in payloads]
         n = len(payloads)
         results: "list[Any]" = [None] * n
         done = [False] * n

@@ -133,6 +133,32 @@ class TestStoreBasics:
         via_store = MNDecoder().compile(attached).decode(y, 6)
         assert np.array_equal(direct, via_store)
 
+    def test_float64_block_entry_attaches_and_decodes_bit_identically(self, store, tmp_path):
+        # Older entries hold a float64 block.npy (and its dtype in the meta)
+        # for designs with m·Γ ≥ 2²³: they must still attach and decode.
+        import hashlib
+
+        compiled = compile_from_key(KEY)
+        store.publish(compiled)
+        entry = store.entry_dir(KEY)
+        np.save(entry / "block.npy", compiled.incidence_block().astype(np.float64))
+        meta = json.loads((entry / "meta.json").read_text())
+        meta["block_dtype"] = "float64"
+        meta["sha256"]["block.npy"] = hashlib.sha256((entry / "block.npy").read_bytes()).hexdigest()
+        (entry / "meta.json").write_text(json.dumps(meta, sort_keys=True))
+
+        attached = DesignStore(tmp_path / "store").get(KEY)
+        assert attached is not None and attached.incidence_block().dtype == np.float64
+        rng = np.random.default_rng(6)
+        sigmas = np.zeros((5, KEY.n), dtype=np.int8)
+        for row in sigmas:
+            row[rng.choice(KEY.n, size=6, replace=False)] = 1
+        Y = compiled.query_results(sigmas)
+        for batch in (Y[:1], Y[:3], Y):
+            assert np.array_equal(attached.psi(batch), compiled.design.psi(batch))
+        want = MNDecoder().compile(compiled).decode_batch(Y, 6)
+        assert np.array_equal(MNDecoder().compile(attached).decode_batch(Y, 6), want)
+
     def test_corrupt_entry_is_a_clean_miss_and_recompiles(self, store):
         store.publish(compile_from_key(KEY))
         entry = store.entry_dir(KEY)

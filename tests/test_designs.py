@@ -5,9 +5,14 @@ to the one-shot paths for matched keys — for the serial and shared-memory
 backends, with and without noise.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import repro.designs.compiled as compiled_mod
 from repro.core.design import PoolingDesign, stream_design_stats
 from repro.core.mn import MNDecoder, mn_reconstruct, run_mn_trial
 from repro.core.reconstruction import reconstruct
@@ -145,22 +150,24 @@ class TestCompiledDesign:
 
 
 class TestBlockDtype:
-    """Degree-bound-driven Ψ-block precision on CompiledDesign."""
+    """The float32 Ψ block, and the float64 blocks older artifacts hold."""
 
     def test_small_design_gets_float32_block(self, compiled):
-        # entries.size ≪ 2²³ here, so every clean result sum fits float32.
         assert compiled.block_dtype == np.dtype(np.float32)
         block = compiled.incidence_block()
         assert block.dtype == np.dtype(np.float32)
         assert compiled.block_bytes == 4 * compiled.m * compiled.n  # half the float64 footprint
 
-    def test_big_design_gets_float64_block(self, key, monkeypatch):
-        from repro.designs import compiled as compiled_mod
-
-        monkeypatch.setattr(compiled_mod, "_EXACT_LIMIT32", 1.0)
-        big = compile_from_key(key)
-        assert big.block_dtype == np.dtype(np.float64)
-        assert big.incidence_block().dtype == np.dtype(np.float64)
+    def test_big_design_keeps_float32_block(self, compiled, sigma):
+        # The block's precision no longer follows the draw count: with the
+        # float32 budget shrunk below every row, the block stays float32
+        # and rows take the float64-panel route, still exact.
+        with mock.patch.object(compiled_mod, "_EXACT_LIMIT32", 1.0):
+            fresh = CompiledDesign(compiled.design, key=compiled.key)
+            assert fresh.block_dtype == np.dtype(np.float32)
+            assert fresh.incidence_block().dtype == np.dtype(np.float32)
+            Y = compiled.query_results(random_signals(compiled.n, 6, 3, np.random.default_rng(2)))
+            assert np.array_equal(fresh.psi(Y), compiled.design.psi(Y))
 
     def test_psi_through_float32_block_is_exact(self, compiled, sigma):
         y = compiled.query_results(sigma)
@@ -170,8 +177,8 @@ class TestBlockDtype:
         assert np.array_equal(got, compiled.design.psi(y))
 
     def test_adversarial_y_falls_back_per_call(self):
-        # Eligibility comes from *clean* result bounds; a caller-supplied y
-        # beyond the float32 budget must still decode exactly.
+        # Exactness is checked per row and call: a caller-supplied y beyond
+        # the float32 budget must still decode exactly.
         design = PoolingDesign.from_pools(5, [[4], [0, 1], [2, 3]])
         compiled = CompiledDesign(design)
         assert compiled.block_dtype == np.dtype(np.float32)
@@ -198,39 +205,69 @@ class TestBlockDtype:
         with pytest.raises(ValueError, match="float32 or float64"):
             fresh.adopt_block(np.zeros((fresh.m + 1, fresh.n), dtype=np.float32))
 
-    def test_serialization_records_block_dtype(self, compiled, tmp_path):
+    def test_serialization_loads_old_float64_provenance(self, compiled, sigma, tmp_path):
+        # Older compiled files record the block precision their degree
+        # bounds chose; one that says float64 still loads and decodes.
         from repro.core.serialization import load_compiled_design, save_design
 
         path = save_design(tmp_path / "d.npz", compiled)
         with np.load(path) as data:
-            assert str(data["compiled_block_dtype"]) == "float32"
+            assert "compiled_block_dtype" not in data.files
+            payload = {name: data[name] for name in data.files}
+        payload["compiled_block_dtype"] = np.asarray("float64")
+        np.savez_compressed(path, **payload)
         loaded, _ = load_compiled_design(path)
         assert loaded.block_dtype == np.dtype(np.float32)
-
-    def test_serialization_rejects_inconsistent_block_dtype(self, compiled, tmp_path):
-        from repro.core.serialization import load_compiled_design, save_design
-
-        path = save_design(tmp_path / "d.npz", compiled)
-        with np.load(path) as data:
-            payload = {name: data[name] for name in data.files}
-        payload["compiled_block_dtype"] = np.asarray("float64")  # lies about the bounds
-        np.savez_compressed(path, **payload)
-        with pytest.raises(ValueError, match="block dtype"):
-            load_compiled_design(path)
+        y = compiled.query_results(sigma)
+        assert np.array_equal(loaded.psi(y), compiled.design.psi(y))
 
 
 class _RowCountingBlock(np.ndarray):
-    """A 0/1 block that records how many rows each product against it has."""
+    """A 0/1 block that logs ``(B, block rows, dtype)`` for each product against it."""
 
-    rows_seen: "list[int]" = []
+    products: "list[tuple[int, int, str]]" = []
 
     def __rmatmul__(self, other):
-        type(self).rows_seen.append(np.shape(other)[0])
+        type(self).products.append((np.shape(other)[0], self.shape[0], str(self.dtype)))
         return np.asarray(other) @ np.asarray(self)
 
 
+#: A small regular design for the route property test, and the row-panel
+#: bounds it runs under: at most 7 float32 rows and 12·n multiply-adds
+#: per panel, so 40 queries make several panels, shorter as B grows, and
+#: a ragged last one.
+_ROUTE_DESIGN = PoolingDesign.sample(60, 40, np.random.default_rng(11))
+_ROUTE_PANEL_BYTES = 7 * 60 * 4
+_ROUTE_PANEL_WORK = 12 * 60
+
+#: Row ``Σ|y|`` values on and around the float32 budget (2²³), near 2⁵¹,
+#: and past the float64 budget (2⁵²).
+_EDGE_SUMS = (2**23 - 1, 2**23, 2**23 + 1, 2**51 + 3, 2**52 + 1)
+
+
+def _route_rows(rows: int, seed: int, edges: "dict[int, int]") -> np.ndarray:
+    """``rows`` signed result rows; row ``i`` in ``edges`` gets ``Σ|y| = edges[i]`` exactly."""
+    rng = np.random.default_rng(seed)
+    Y = rng.integers(-3, 40, size=(rows, _ROUTE_DESIGN.m))
+    for i, total in edges.items():
+        if i < rows:
+            rest = int(np.abs(Y[i, 1:]).sum())
+            Y[i, 0] = (total - rest) * (1 if rng.random() < 0.5 else -1)
+    return Y
+
+
+def _expected_products(n_rows: int, dtype: str, block_dtype: str, m: int, blas_threads: int) -> "list[tuple[int, int, str]]":
+    """The products one route makes: one plain GEMM, or one per row panel."""
+    panel_batch = compiled_mod._PANEL_MIN_ROWS <= n_rows <= compiled_mod._PANEL_MAX_ROWS and blas_threads == 1
+    if dtype == block_dtype and not panel_batch:
+        return [(n_rows, m, dtype)]
+    n = _ROUTE_DESIGN.n
+    step = max(1, min(_ROUTE_PANEL_BYTES // (n * np.dtype(block_dtype).itemsize), _ROUTE_PANEL_WORK // (n_rows * n)))
+    return [(n_rows, min(step, m - lo), dtype) for lo in range(0, m, step)]
+
+
 class TestPackedPsi:
-    """Several result rows share one GEMM row while the sums stay exact."""
+    """Ψ through the resident block is exact on every route."""
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("rows", [1, 2, 3, 4, 7])
@@ -242,37 +279,59 @@ class TestPackedPsi:
             Y = rng.integers(low, high, size=(rows, fresh.m))
             assert np.array_equal(fresh.psi(Y), compiled.design.psi(Y)), (low, high)
 
-    def test_extreme_digits_round_trip(self):
-        from repro.designs.compiled import _EXACT_LIMIT, _packed_psi
+    @given(
+        rows=st.integers(1, 16),
+        block_dtype=st.sampled_from(("float32", "float64")),
+        blas_threads=st.sampled_from((1, 2)),
+        seed=st.integers(0, 2**32 - 1),
+        edges=st.dictionaries(st.integers(0, 15), st.sampled_from(_EDGE_SUMS), max_size=4),
+    )
+    @example(rows=1, block_dtype="float32", blas_threads=1, seed=1, edges={})
+    @example(rows=2, block_dtype="float64", blas_threads=1, seed=2, edges={})
+    @example(rows=3, block_dtype="float32", blas_threads=1, seed=3, edges={})
+    @example(rows=4, block_dtype="float64", blas_threads=1, seed=4, edges={})
+    @example(rows=7, block_dtype="float32", blas_threads=1, seed=7, edges={})
+    @example(rows=3, block_dtype="float32", blas_threads=1, seed=0, edges={0: 2**23 - 1, 1: 2**23, 2: 2**23 + 1})
+    @example(rows=2, block_dtype="float32", blas_threads=1, seed=0, edges={1: 2**51 + 3})
+    @example(rows=9, block_dtype="float64", blas_threads=1, seed=0, edges={4: 2**52 + 1})
+    @example(rows=14, block_dtype="float32", blas_threads=1, seed=5, edges={13: 2**23})
+    @example(rows=4, block_dtype="float32", blas_threads=2, seed=4, edges={})
+    @settings(max_examples=80, deadline=None)
+    def test_every_route_is_exact(self, rows, block_dtype, blas_threads, seed, edges):
+        """Equal to the int64 product on both adopted dtypes, with each row
+        on the route its ``Σ|y|`` allows: plain or panel in the block's
+        dtype (panels only under one BLAS thread), float64 panels, or
+        (only at 2⁵² and over) the kernel."""
+        import repro.core.design as design_mod
 
-        block = np.array([[1.0, 0.0, 1.0], [1.0, 1.0, 0.0]])
-        Y = np.array([[5, 0], [-5, 0], [0, 5], [5, -5], [0, 0]], dtype=np.int64)
-        bound = float(np.abs(Y).sum(axis=1).max())
-        got = _packed_psi(Y, bound, block, _EXACT_LIMIT)
-        assert np.array_equal(got, Y @ block.astype(np.int64))
+        compiled = CompiledDesign(_ROUTE_DESIGN)
+        exact_block = np.zeros((compiled.m, compiled.n), dtype=np.int64)
+        exact_block[np.repeat(np.arange(compiled.m), np.diff(compiled.design.indptr)), compiled.design.entries] = 1
+        compiled.adopt_block(exact_block.astype(block_dtype))
+        compiled._block = compiled._block.view(_RowCountingBlock)  # log every product against it
+        Y = _route_rows(rows, seed, edges)
 
-    def test_small_batch_costs_one_gemm_row(self, compiled):
-        from repro.designs.compiled import _EXACT_LIMIT, _packed_psi
+        bounds = np.abs(Y).sum(axis=1)
+        native = bounds < (2**23 if block_dtype == "float32" else 2**52)
+        wide = ~native & (bounds < 2**52)
+        expected = []
+        if native.any():
+            expected += _expected_products(int(native.sum()), block_dtype, block_dtype, compiled.m, blas_threads)
+        if wide.any():
+            expected += _expected_products(int(wide.sum()), "float64", block_dtype, compiled.m, blas_threads)
 
-        block = compiled.incidence_block().astype(np.float64).view(_RowCountingBlock)
-        Y = compiled.query_results(random_signals(compiled.n, 3, 3, np.random.default_rng(0)))
-        _RowCountingBlock.rows_seen = []
-        got = _packed_psi(Y, float(Y.sum(axis=1).max()), block, _EXACT_LIMIT)
-        assert _RowCountingBlock.rows_seen == [1]
-        assert np.array_equal(got, compiled.design.psi(Y))
-
-    def test_budget_limits_rows_per_gemm_row(self, compiled):
-        from repro.designs.compiled import _packed_psi
-
-        block = compiled.incidence_block().astype(np.float64).view(_RowCountingBlock)
-        Y = np.ones((4, compiled.m), dtype=np.int64)
-        bound = float(compiled.m)  # each digit needs shift = bits(m) + 1
-        shift = int(bound).bit_length() + 1
-        budget = bound * (1 + 2.0**shift) * 1.5  # two rows fit, three do not
-        _RowCountingBlock.rows_seen = []
-        got = _packed_psi(Y, bound, block, budget)
-        assert _RowCountingBlock.rows_seen == [2]
-        assert np.array_equal(got, compiled.design.psi(Y))
+        kernel_calls = []
+        real_dispatch = design_mod.dispatch_kernel
+        _RowCountingBlock.products = []
+        with mock.patch.object(compiled_mod, "_PANEL_BYTES", _ROUTE_PANEL_BYTES), mock.patch.object(
+            compiled_mod, "_PANEL_WORK", _ROUTE_PANEL_WORK
+        ), mock.patch.object(compiled_mod, "get_blas_threads", lambda: blas_threads), mock.patch.object(
+            design_mod, "dispatch_kernel", lambda name=None: kernel_calls.append(name) or real_dispatch(name)
+        ):
+            got = compiled.psi(Y)
+        assert np.array_equal(got, Y @ exact_block)
+        assert _RowCountingBlock.products == expected
+        assert bool(kernel_calls) == bool((bounds >= 2**52).any())  # no row under 2⁵² reaches the kernel
 
 
 class TestDesignCache:

@@ -81,15 +81,14 @@ def _blas_threads(payload, cache):
 
 
 class TestThreadGovernance:
-    def test_inline_cap_is_scoped_to_map(self):
-        from repro.kernels.threads import detect_blas, get_blas_threads
+    def test_inline_pool_leaves_blas_threads_alone(self):
+        from repro.kernels.threads import get_blas_threads
 
         before = get_blas_threads()
         with WorkerPool(1, blas_threads=1) as pool:
             (inside,) = pool.map(_blas_threads, [None])
-        if detect_blas() is not None:
-            assert inside == 1
-        assert get_blas_threads() == before  # parent's setting restored
+        assert inside in (before, None)  # the cap is for forked workers only
+        assert get_blas_threads() == before
 
     def test_workers_apply_cap(self):
         from repro.kernels.threads import detect_blas
